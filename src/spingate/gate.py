@@ -155,9 +155,15 @@ def analytic_etas(pair: ReflectionPair) -> Etas:
 def single_shot_distribution(config: GateConfig, state: StateVector,
                              q1: int, q2: int) -> OutcomeDistribution:
     """Probabilities of the four single-photon outcomes for the current state."""
-    if abs(state.norm() - 1.0) > 1e-9:
+    try:
+        w_even, w_odd = parity_weights(state, q1, q2)
+        norm = math.sqrt(w_even + w_odd)  # the parity weights add up to ||psi||^2
+    except IndexError:
+        norm = state.norm()  # an unnormalized state is reported before a bad qubit
+        if abs(norm - 1.0) <= 1e-9:
+            raise
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    w_even, w_odd = parity_weights(state, q1, q2)
     eta_det = config.detector_efficiency
     eta_in = config.eta_in
     p_unit = eta_det * eta_in ** 2 * abs(config.pair.d) ** 2

@@ -105,8 +105,33 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise IndexError(f"qubit {qubit} out of range for {state.n}-qubit register")
 
 
-def _as_tensor(state: StateVector) -> np.ndarray:
-    return state.amps.reshape((2,) * state.n)
+def _axes(state: StateVector, *qubits: int) -> np.ndarray:
+    """Reshape view of ``state.amps`` with a length-2 axis per named qubit:
+    ``(2**q, 2, 2**(n-q-1))`` for one qubit q, ``(left, 2, mid, 2, right)``
+    for two, lower qubit first.  It shares memory with the state: never write to it."""
+    for q in qubits:
+        _check_qubit(state, q)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits must be distinct, got {qubits}")
+    shape, prev = [], -1
+    for q in sorted(qubits):
+        shape += [2 ** (q - prev - 1), 2]
+        prev = q
+    shape.append(2 ** (state.n - prev - 1))
+    return state.amps.reshape(shape)
+
+
+def _as_matrix(state: StateVector, qubits: list) -> np.ndarray:
+    """``state.amps`` as a ``(2**k, 2**(n-k))`` matrix: the row index runs
+    over `qubits` in the given order, the column index over the remaining
+    qubits in ascending order."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits must be distinct, got {qubits}")
+    for q in qubits:
+        _check_qubit(state, q)
+    rest = [q for q in range(state.n) if q not in qubits]
+    t = state.amps.reshape((2,) * state.n).transpose(qubits + rest)
+    return t.reshape(2 ** len(qubits), -1)
 
 
 def apply_1q(state: StateVector, qubit: int, gate: str) -> StateVector:
@@ -114,26 +139,25 @@ def apply_1q(state: StateVector, qubit: int, gate: str) -> StateVector:
 
     H maps up -> (up + down)/sqrt(2) and down -> (up - down)/sqrt(2).
     """
-    _check_qubit(state, qubit)
+    view = _axes(state, qubit)
     try:
         mat = _GATES[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(_GATES)}") from None
-    t = np.moveaxis(_as_tensor(state), qubit, -1)
-    t = t @ mat.T
-    t = np.moveaxis(t, -1, qubit)
-    return StateVector(state.n, np.ascontiguousarray(t).reshape(-1))
+    return StateVector(state.n, (mat @ view).reshape(-1))
 
 
 def parity_weights(state: StateVector, q1: int, q2: int) -> tuple[float, float]:
     """Squared norms of the even and odd parity components on (q1, q2)."""
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("parity weights need two distinct qubits")
-    t = np.moveaxis(_as_tensor(state), (q1, q2), (0, 1)).reshape(2, 2, -1)
-    w = np.sum(np.abs(t) ** 2, axis=-1)
+    w = np.sum(np.abs(_axes(state, q1, q2)) ** 2, axis=(0, 2, 4))
     return float(w[0, 0] + w[1, 1]), float(w[0, 1] + w[1, 0])
+
+
+# signed projector diagonals indexed [bit of q1, bit of q2]
+_PARITY_SIGNS = {
+    Parity.EVEN: np.array([[1.0, 0.0], [0.0, -1.0]]),
+    Parity.ODD: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+}
 
 
 def project_parity(state: StateVector, q1: int, q2: int,
@@ -144,26 +168,15 @@ def project_parity(state: StateVector, q1: int, q2: int,
     (the probability of the outcome).  Raises ZeroProbabilityError when
     that probability vanishes instead of returning a NaN state.
     """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("parity projection needs two distinct qubits")
-    t = np.moveaxis(_as_tensor(state), (q1, q2), (0, 1)).copy()
-    if outcome is Parity.EVEN:
-        t[0, 1] = 0.0
-        t[1, 0] = 0.0
-        t[1, 1] *= -1.0
-    elif outcome is Parity.ODD:
-        t[0, 0] = 0.0
-        t[1, 1] = 0.0
-        t[1, 0] *= -1.0
-    else:
+    view = _axes(state, q1, q2)
+    if not isinstance(outcome, Parity):
         raise TypeError(f"outcome must be a Parity, got {outcome!r}")
+    signs = _PARITY_SIGNS[outcome] if q1 < q2 else _PARITY_SIGNS[outcome].T
+    t = view * signs[:, None, :, None]
     prob = float(np.sum(np.abs(t) ** 2))
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"{outcome.value}-parity branch has zero probability")
-    t = np.moveaxis(t / math.sqrt(prob), (0, 1), (q1, q2))
-    return StateVector(state.n, np.ascontiguousarray(t).reshape(-1)), prob
+    return StateVector(state.n, (t / math.sqrt(prob)).reshape(-1)), prob
 
 
 def collapse_z(state: StateVector, qubit: int,
@@ -173,23 +186,20 @@ def collapse_z(state: StateVector, qubit: int,
     Returns (collapsed state, branch probability); errors on a
     zero-probability branch.
     """
-    _check_qubit(state, qubit)
-    t = np.moveaxis(_as_tensor(state), qubit, 0).copy()
-    prob = float(np.sum(np.abs(t[int(outcome)]) ** 2))
+    view = _axes(state, qubit)
+    prob = float(np.sum(np.abs(view[:, outcome]) ** 2))
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"branch {SpinOutcome(outcome).name} has zero probability")
-    t[1 - int(outcome)] = 0.0
-    t = np.moveaxis(t / math.sqrt(prob), 0, qubit)
-    return StateVector(state.n, np.ascontiguousarray(t).reshape(-1)), prob
+    t = np.zeros_like(view)
+    t[:, outcome] = view[:, outcome] / math.sqrt(prob)
+    return StateVector(state.n, t.reshape(-1)), prob
 
 
 def measure_z(state: StateVector, qubit: int,
               rng: np.random.Generator) -> tuple[SpinOutcome, StateVector]:
     """Born-rule Z measurement: one uniform draw per call (outcome UP when
     the draw falls below the up-branch probability)."""
-    _check_qubit(state, qubit)
-    t = np.moveaxis(_as_tensor(state), qubit, 0)
-    p_up = float(np.sum(np.abs(t[0]) ** 2))
+    p_up = float(np.sum(np.abs(_axes(state, qubit)[:, 0]) ** 2))
     outcome = SpinOutcome.UP if rng.random() < p_up else SpinOutcome.DOWN
     collapsed, _ = collapse_z(state, qubit, outcome)
     return outcome, collapsed
@@ -214,8 +224,7 @@ def permute(state: StateVector, order) -> StateVector:
     order = list(order)
     if sorted(order) != list(range(state.n)):
         raise ValueError("order must be a permutation of all qubits")
-    t = _as_tensor(state).transpose(order)
-    return StateVector(state.n, np.ascontiguousarray(t).reshape(-1))
+    return StateVector(state.n, _as_matrix(state, order).reshape(-1))
 
 
 def split(state: StateVector, part) -> tuple[StateVector, StateVector]:
@@ -227,21 +236,16 @@ def split(state: StateVector, part) -> tuple[StateVector, StateVector]:
     qubits.
     """
     part = list(part)
-    if len(set(part)) != len(part):
-        raise ValueError("part must not repeat qubits")
-    for q in part:
-        _check_qubit(state, q)
+    mat = _as_matrix(state, part)
     if not 0 < len(part) < state.n:
         raise ValueError("part must be a proper non-empty subset of the register")
-    rest = [q for q in range(state.n) if q not in part]
-    mat = _as_tensor(state).transpose(part + rest).reshape(2 ** len(part), -1)
     u, sv, vh = np.linalg.svd(mat, full_matrices=False)
     if 1.0 - sv[0] ** 2 > NORM_ATOL:
         raise EntangledCutError("subsystem is entangled with its complement")
     sub = u[:, 0]
     comp = vh[0]
     return (StateVector(len(part), sub / np.linalg.norm(sub)),
-            StateVector(len(rest), comp / np.linalg.norm(comp)))
+            StateVector(state.n - len(part), comp / np.linalg.norm(comp)))
 
 
 def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float:
@@ -251,13 +255,8 @@ def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float
     the rest of the register.
     """
     qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("qubits must be distinct")
-    for q in qubits:
-        _check_qubit(state, q)
+    mat = _as_matrix(state, qubits)
     if target.n != len(qubits):
         raise ValueError("target size must match the subsystem")
-    rest = [q for q in range(state.n) if q not in qubits]
-    mat = _as_tensor(state).transpose(qubits + rest).reshape(2 ** len(qubits), -1)
     v = target.amps.conj() @ mat
     return min(1.0, float(np.real(np.vdot(v, v))))

@@ -64,6 +64,17 @@ class TestSingleQubitGates:
         for gate in ("H", "X", "Z"):
             assert apply_1q(state, 2, gate).norm() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("gate", ["H", "X", "Z"])
+    def test_against_dense_kron_oracle(self, gate):
+        mats = {"H": np.array([[1, 1], [1, -1]]) * SQRT_HALF,
+                "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+        n = 4
+        state = random_state(np.random.default_rng(5), n)
+        for q in range(n):
+            dense = np.kron(np.kron(np.eye(2 ** q), mats[gate]), np.eye(2 ** (n - q - 1)))
+            np.testing.assert_allclose(apply_1q(state, q, gate).amps, dense @ state.amps,
+                                       atol=1e-12)
+
     def test_rejects_unknown_gate_and_bad_index(self):
         state = StateVector.plus()
         with pytest.raises(ValueError):
@@ -98,18 +109,20 @@ class TestParityProjection:
     def test_against_dense_matrix_oracle(self):
         rng = np.random.default_rng(21)
         state = random_state(rng, 4)
-        total = 0.0
-        for outcome in (Parity.EVEN, Parity.ODD):
-            mat = dense_parity_matrix(4, 1, 3, outcome)
-            raw = mat @ state.amps
-            prob_expected = float(np.vdot(raw, raw).real)
-            projected, prob = project_parity(state, 1, 3, outcome)
-            total += prob
-            assert prob == pytest.approx(prob_expected, abs=1e-12)
-            np.testing.assert_allclose(projected.amps,
-                                       raw / math.sqrt(prob_expected), atol=1e-12)
-        # the two branches exhaust the full parity weight
-        assert total == pytest.approx(1.0, abs=1e-12)
+        # the odd projector's sign depends on the order of the pair
+        for q1, q2 in ((1, 3), (3, 1), (0, 1), (2, 0)):
+            total = 0.0
+            for outcome in (Parity.EVEN, Parity.ODD):
+                mat = dense_parity_matrix(4, q1, q2, outcome)
+                raw = mat @ state.amps
+                prob_expected = float(np.vdot(raw, raw).real)
+                projected, prob = project_parity(state, q1, q2, outcome)
+                total += prob
+                assert prob == pytest.approx(prob_expected, abs=1e-12)
+                np.testing.assert_allclose(projected.amps,
+                                           raw / math.sqrt(prob_expected), atol=1e-12)
+            # the two branches exhaust the full parity weight
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_branches_are_orthogonal(self):
         rng = np.random.default_rng(22)
@@ -121,10 +134,14 @@ class TestParityProjection:
     def test_weights_match_projection_probabilities(self):
         rng = np.random.default_rng(23)
         state = random_state(rng, 5)
-        w_even, w_odd = parity_weights(state, 1, 4)
-        assert w_even + w_odd == pytest.approx(1.0, abs=1e-12)
-        assert project_parity(state, 1, 4, Parity.EVEN)[1] == pytest.approx(w_even, abs=1e-12)
-        assert project_parity(state, 1, 4, Parity.ODD)[1] == pytest.approx(w_odd, abs=1e-12)
+        for q1, q2 in ((1, 4), (4, 1)):
+            w_even, w_odd = parity_weights(state, q1, q2)
+            assert w_even + w_odd == pytest.approx(1.0, abs=1e-12)
+            for outcome, weight in ((Parity.EVEN, w_even), (Parity.ODD, w_odd)):
+                raw = dense_parity_matrix(5, q1, q2, outcome) @ state.amps
+                assert weight == pytest.approx(float(np.vdot(raw, raw).real), abs=1e-12)
+                assert project_parity(state, q1, q2, outcome)[1] == pytest.approx(weight,
+                                                                                  abs=1e-12)
 
     def test_rejects_repeated_qubit(self):
         with pytest.raises(ValueError):
@@ -230,6 +247,19 @@ class TestFidelityAndFactoring:
 
 
 class TestValidation:
+    def test_kernels_leave_input_untouched(self):
+        rng = np.random.default_rng(14)
+        state = tensor(random_state(rng, 3), random_state(rng, 1))
+        before = state.amps.copy()
+        apply_1q(state, 2, "H")
+        project_parity(state, 3, 1, Parity.ODD)
+        collapse_z(state, 1, SpinOutcome.DOWN)
+        measure_z(state, 0, rng)
+        permute(state, [2, 0, 3, 1])
+        split(state, [3])
+        assert np.array_equal(state.amps, before)
+
+
     def test_from_amplitudes_normalization_check(self):
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([1.0, 1.0])
