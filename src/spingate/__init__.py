@@ -15,8 +15,8 @@ from .cluster import (ChainState, ConnectResult, FactoryStats, GrowResult,
 from .gate import (DegenerateRecycleError, Etas, GateConfig, GateOutcome,
                    GateResult, ModelDomainError, OutcomeDistribution,
                    analytic_etas, run_gate, single_shot_distribution)
-from .pulse import (PulseSpec, QuadratureError, projected_spin_state, pulse_etas,
-                    spectral_grid)
+from .pulse import (PulseSpec, QuadratureError, gaussian_etas, projected_spin_state,
+                    pulse_etas, spectral_grid)
 from .qstate import (EntangledCutError, Parity, SpinOutcome, StateVector,
                      ZeroProbabilityError, apply_1q, collapse_z, fidelity,
                      measure_z, parity_weights, project_parity, split,
@@ -35,8 +35,8 @@ __all__ = [
     "GateConfig", "GateOutcome", "GateResult", "OutcomeDistribution", "Etas",
     "analytic_etas", "single_shot_distribution", "run_gate",
     "DegenerateRecycleError", "ModelDomainError",
-    "PulseSpec", "QuadratureError", "pulse_etas", "projected_spin_state",
-    "spectral_grid",
+    "PulseSpec", "QuadratureError", "gaussian_etas", "pulse_etas",
+    "projected_spin_state", "spectral_grid",
     "ChainState", "GrowResult", "ConnectResult", "GrowthStrategy", "FactoryStats",
     "new_chain", "add_fresh", "canonical_cluster", "chain_fidelity", "grow_chain",
     "connect_chains", "simulate_factory",

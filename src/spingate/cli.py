@@ -59,7 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--detector-eff", type=float, help="detector efficiency")
     parser.add_argument("--dephasing", type=float, help="Z-error probability per attempt")
     parser.add_argument("--max-recycles", type=int)
-    parser.add_argument("--bandwidth", type=float, help="pulse bandwidth (units of kappa)")
+    parser.add_argument("--bandwidth", type=float,
+                        help="pulse bandwidth (units of kappa); the pulse is centred "
+                             "on the cavity resonance, so pulse_eta_S does not "
+                             "depend on --detuning")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per row")
     parser.add_argument("--seed", type=int, help="base seed; row i uses seed XOR i")
     parser.add_argument("--outputs", metavar="COLS",

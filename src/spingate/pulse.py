@@ -12,9 +12,36 @@ spectral averages,
     eta_V(Delta) = integral |r1(w) + r0(w)|**2 / 4 * |f(w)|**2 dw
     eta_S(Delta) = eta_H(Delta) / (1 - eta_V(Delta)),
 
-computed by a midpoint rule on [mu - span*Delta, mu + span*Delta] with the
-weights renormalized to unit mass.  The quadrature error is estimated by
-Richardson comparison against the half-resolution grid and the call is
+computed exactly (up to rounding) by ``gaussian_etas``.  Writing
+A = -i (omega - p_A) and B = -i (omega - p_B) with the poles
+p_A = omega_x - i gamma/2 and p_B = omega_c - i (kappa + kappa_s)/2, the
+coupled denominator AB + g**2 vanishes at the two roots p_+- of
+(omega - p_A)(omega - p_B) = g**2, so d = (r1 - r0)/2 and s = (r1 + r0)/2
+are rational functions with simple poles p_B, p_+, p_-, all in the lower
+half plane:
+
+    d(omega) = sum_k a_k / (omega - p_k),    s(omega) = 1 + sum_k b_k / (omega - p_k).
+
+For real omega, |f|**2 with f = c + sum_k a_k / (omega - p_k) has the
+partial fractions |c|**2 + 2 Re sum_k a_k f*(p_k) / (omega - p_k), where
+f*(z) = conj(c) + sum_j conj(a_j) / (z - conj(p_j)) is the reflected
+function, and each term averages against the Gaussian through the
+Faddeeva function,
+
+    <1 / (omega - p)> = -i sqrt(pi) conj(w(conj((p - mu) / Delta))) / Delta,
+
+evaluated with Weideman's rational approximation (J. A. C. Weideman,
+SIAM J. Numer. Anal. 31, 1497 (1994)).  At the exceptional point
+omega_x = omega_c, (kappa + kappa_s - gamma)/2 = 2g the two roots p_+-
+merge and the partial-fraction weights blow up; there ``gaussian_etas``
+declines (returns None) and the caller falls back to ``pulse_etas``.
+The closed form averages over the whole line, so it ignores the grid
+fields ``n_points`` and ``span`` of the spec.
+
+``pulse_etas`` is the quadrature path, kept as the cross-check oracle and
+that fallback: a midpoint rule on [mu - span*Delta, mu + span*Delta] with
+the weights renormalized to unit mass.  Its quadrature error is estimated
+by Richardson comparison against the half-resolution grid and the call is
 rejected when the estimate exceeds 1e-6.
 
 The conditional post-success spin state is frequency independent: the
@@ -26,6 +53,7 @@ invariance can be checked rather than assumed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,6 +64,42 @@ from .gate import DegenerateRecycleError, Etas, _DEGENERATE_ATOL
 from .qstate import Parity, StateVector, ZeroProbabilityError, project_parity
 
 QUADRATURE_TOL = 1e-6
+# gaussian_etas declines below this |p_+ - p_-| / (kappa + kappa_s + gamma):
+# rounding in the partial-fraction weights grows as the inverse square of
+# the pole gap, ~1e-16 / gap**2 (kappa = 1), so 1e-2 keeps it near 1e-12
+_POLE_GAP_RTOL = 1e-2
+
+
+def _weideman(n: int) -> tuple[float, np.ndarray]:
+    """Scale L and the n polynomial coefficients (highest power first) of
+    Weideman's rational approximation of the Faddeeva function."""
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = (scale * math.tan(k * math.pi / (2 * m)) for k in range(1, m))
+    f = [math.exp(-x * x) * (scale ** 2 + x * x) for x in t]
+    # Weideman takes these from an FFT of f(k), k = -m+1 .. m-1; f is even,
+    # so that is a cosine series.  Summing it in plain floats keeps numpy.fft
+    # and numpy's tan/exp/cos kernels out of the import, which measured
+    # ~1 MB more resident memory in every process, pulse user or not.
+    return scale, np.array([
+        (scale ** 2 + 2.0 * sum(fk * math.cos(math.pi * k * j / m)
+                                for k, fk in enumerate(f, 1))) / (2 * m)
+        for j in range(n, 0, -1)])
+
+
+_W_SCALE, _W_COEFFS = _weideman(40)
+
+
+def _faddeeva(z) -> np.ndarray:
+    """w(z) = exp(-z**2) erfc(-iz) for Im z >= 0, to ~2e-14 relative.
+
+    Weideman, SIAM J. Numer. Anal. 31, 1497 (1994), with N = 40 terms.
+    """
+    z = np.asarray(z, dtype=complex)
+    denom = _W_SCALE - 1j * z
+    ratio = (_W_SCALE + 1j * z) / denom
+    poly = np.vander(ratio.ravel(), len(_W_COEFFS)) @ _W_COEFFS
+    return 2.0 * poly.reshape(z.shape) / denom ** 2 + 1.0 / (math.sqrt(math.pi) * denom)
 
 
 @dataclass(frozen=True)
@@ -96,6 +160,47 @@ def _averaged_pair(params: CavityParams, spec: PulseSpec, n: int) -> tuple[float
     return eta_h, eta_v
 
 
+def _averaged_etas(eta_h: float, eta_v: float) -> Etas:
+    if 1.0 - eta_v <= _DEGENERATE_ATOL:
+        raise DegenerateRecycleError("averaged eta_V = 1: recycling never terminates")
+    return Etas(eta_h, eta_v, eta_h / (1.0 - eta_v))
+
+
+def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas | None:
+    """Exact frequency-averaged efficiencies of the gate for a Gaussian pulse.
+
+    Evaluates the spectral averages in closed form (see the module
+    docstring); agrees with ``pulse_etas`` to ~1e-12.  Returns None near
+    the exceptional point, where the two coupled poles merge and the
+    partial fractions lose accuracy: use ``pulse_etas`` there.  Raises
+    DegenerateRecycleError when the averaged eta_V reaches one.
+    """
+    p_a = params.omega_x - 0.5j * params.gamma
+    p_b = params.omega_c - 0.5j * (params.kappa + params.kappa_s)
+    root = cmath.sqrt(((p_a - p_b) / 2) ** 2 + params.g ** 2)
+    if 2.0 * abs(root) < _POLE_GAP_RTOL * (params.kappa + params.kappa_s + params.gamma):
+        return None
+    poles = np.array([p_b, (p_a + p_b) / 2 + root, (p_a + p_b) / 2 - root])
+    # r0 = 1 - i kappa / (omega - p_B); r1 = 1 - i kappa sum_k c_k / (omega - p_k)
+    # over p_+-, with c_+ + c_- = 1
+    c_plus = (poles[1] - p_a) / (2.0 * root)
+    empty = np.array([1.0, 0.0, 0.0])
+    coupled = np.array([0.0, c_plus, 1.0 - c_plus])
+    a_d = 0.5j * params.kappa * (empty - coupled)
+    a_s = -0.5j * params.kappa * (empty + coupled)
+    mu = params.omega_c + spec.center
+    zeta = np.conj((poles - mu) / spec.delta)
+    mean = -1j * math.sqrt(math.pi) * np.conj(_faddeeva(zeta)) / spec.delta
+    inverse_gaps = 1.0 / (poles[:, None] - np.conj(poles))
+
+    def mean_abs2(c: float, a: np.ndarray) -> float:
+        """<|c + sum_k a_k / (omega - p_k)|**2> over the pulse spectrum."""
+        reflected = np.conj(c) + inverse_gaps @ np.conj(a)
+        return abs(c) ** 2 + 2.0 * float(np.real(np.sum(a * reflected * mean)))
+
+    return _averaged_etas(mean_abs2(0.0, a_d), mean_abs2(1.0, a_s))
+
+
 def pulse_etas(params: CavityParams, spec: PulseSpec) -> Etas:
     """Frequency-averaged efficiencies of the gate for a Gaussian pulse.
 
@@ -113,9 +218,7 @@ def pulse_etas(params: CavityParams, spec: PulseSpec) -> Etas:
         factor = math.sqrt(estimate / (QUADRATURE_TOL / 10.0))
         suggested = 1 << math.ceil(math.log2(spec.n_points * factor))
         raise QuadratureError(estimate, suggested)
-    if 1.0 - eta_v <= _DEGENERATE_ATOL:
-        raise DegenerateRecycleError("averaged eta_V = 1: recycling never terminates")
-    return Etas(eta_h, eta_v, eta_h / (1.0 - eta_v))
+    return _averaged_etas(eta_h, eta_v)
 
 
 def projected_spin_state(params: CavityParams, omega: float, state: StateVector,

@@ -26,7 +26,7 @@ import numpy as np
 from .cavity import CavityParams, reflection_pair
 from .gate import (DegenerateRecycleError, GateConfig, GateOutcome,
                    analytic_etas, run_gate)
-from .pulse import PulseSpec, pulse_etas
+from .pulse import PulseSpec, gaussian_etas, pulse_etas
 from .qstate import StateVector, tensor
 
 
@@ -206,7 +206,8 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
         pulse = PulseSpec(delta=bandwidth, center=spec.fixed.pulse_center,
                           n_points=spec.fixed.pulse_points)
         try:
-            row["pulse_eta_S"] = quantize(pulse_etas(params, pulse).eta_s)
+            etas = gaussian_etas(params, pulse) or pulse_etas(params, pulse)
+            row["pulse_eta_S"] = quantize(etas.eta_s)
         except DegenerateRecycleError:
             row["pulse_eta_S"] = None
             row["flag"] = _FLAG_DEGENERATE

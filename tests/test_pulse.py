@@ -1,8 +1,16 @@
 """Gaussian-pulse spectral averaging of the gate efficiencies.
 
 The Delta = 0.5 reference value was frozen from an independent adaptive
-quadrature (mpmath, 50 digits) of the averaged efficiencies.
+quadrature (mpmath, 50 digits) of the averaged efficiencies.  The closed
+form (``gaussian_etas``) is checked against the quadrature, and its
+Faddeeva function against scipy's ``wofz`` when scipy is installed.
 """
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +18,10 @@ import pytest
 from spingate.cavity import CavityParams
 from spingate.gate import analytic_etas
 from spingate.cavity import reflection_pair
-from spingate.pulse import (PulseSpec, QuadratureError, projected_spin_state,
-                            pulse_etas, spectral_grid)
+from spingate.pulse import (PulseSpec, QuadratureError, _faddeeva, gaussian_etas,
+                            projected_spin_state, pulse_etas, spectral_grid)
 from spingate.qstate import Parity, StateVector, ZeroProbabilityError, fidelity, tensor
+from spingate.sweep import SweepAxis, SweepBaseline, SweepSpec, run_sweep
 
 ETA_S_UNIT_RESONANT = 0.5591397849462366
 ETA_S_UNIT_HALF_KAPPA = 0.461594481367  # Delta = 0.5 kappa, C = 1 resonant
@@ -98,3 +107,107 @@ class TestFidelityInvariance:
         state = tensor(StateVector.plus(), StateVector.plus())
         with pytest.raises(ZeroProbabilityError):
             projected_spin_state(params, 0.0, state, 0, 1, Parity.EVEN)
+
+
+
+class TestFaddeeva:
+    def test_origin(self):
+        assert _faddeeva(0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_imaginary_axis_is_scaled_erfc(self):
+        for y in np.linspace(0.0, 20.0, 81):
+            expected = math.exp(y * y) * math.erfc(y)
+            assert _faddeeva(1j * y).real == pytest.approx(expected, rel=1e-13)
+            assert abs(_faddeeva(1j * y).imag) <= 1e-13 * expected
+
+    def test_reflection_symmetry(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(scale=5.0, size=200) + 1j * rng.exponential(2.0, size=200)
+        assert np.allclose(_faddeeva(-np.conj(z)), np.conj(_faddeeva(z)),
+                           rtol=1e-14, atol=0.0)
+
+    def test_matches_scipy_over_the_upper_half_plane(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(11)
+        radius = 10 ** rng.uniform(-3, 4, 700)
+        angle = rng.uniform(0.0, math.pi, 700)
+        near_axis = np.linspace(-40.0, 40.0, 200) + 1e-4j
+        far = rng.uniform(-1e4, 1e4, 60) + 1j * rng.uniform(1e-4, 1e4, 60)
+        # Delta = 1e-4 puts the cavity pole near 5e3 i
+        narrow = np.array([np.conj(p / 1e-4) for p in (-0.5j - 0.04, 0.1 - 0.03j,
+                                                       -0.0385j)])
+        z = np.concatenate([radius * np.exp(1j * angle), near_axis, far, narrow])
+        assert len(z) >= 960
+        reference = special.wofz(z)
+        error = np.abs(_faddeeva(z) - reference) / np.abs(reference)
+        assert error.max() <= 1e-13
+
+
+def random_draw(rng):
+    kappa_ratio = math.inf if rng.random() < 0.25 else rng.uniform(2.0, 100.0)
+    params = CavityParams.from_cooperativity(
+        rng.uniform(0.05, 10.0), kappa_ratio=kappa_ratio,
+        gamma=rng.uniform(0.01, 1.0), probe_detuning=rng.uniform(-1.0, 1.0),
+        trion_offset=rng.uniform(-1.0, 1.0))
+    spec = PulseSpec(delta=10 ** rng.uniform(-2.0, 0.0), center=rng.uniform(-1.0, 1.0))
+    return params, spec
+
+
+def exceptional_point_sweep(kappa_ratio, offsets, detuning=0.1):
+    """Cooperativity sweep whose g values sit the given offsets from the
+    exceptional point g = (kappa + kappa_s - gamma) / 4 at omega_x = omega_c."""
+    gamma = 0.1
+    total = 1.0 + (0.0 if math.isinf(kappa_ratio) else 1.0 / kappa_ratio)
+    g_ep = (total - gamma) / 4
+    grid = tuple((g_ep + eps) ** 2 / (gamma * total) for eps in offsets)
+    fixed = SweepBaseline(kappa_ratio=kappa_ratio, gamma=gamma, detuning=detuning)
+    return SweepSpec(axis=SweepAxis.COOPERATIVITY, grid=grid, fixed=fixed,
+                     outputs=("pulse_eta_S",))
+
+
+class TestGaussianEtas:
+    def test_agrees_with_quadrature_on_random_draws(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            params, spec = random_draw(rng)
+            exact = gaussian_etas(params, spec)
+            assert exact is not None
+            reference = pulse_etas(params, spec)
+            for got, want in zip(exact, reference):
+                assert abs(got - want) <= 1e-9
+
+    def test_reference_points(self):
+        near = gaussian_etas(unit_params(), PulseSpec(delta=1e-4))
+        assert near.eta_s == pytest.approx(ETA_S_UNIT_RESONANT, abs=1e-6)
+        half = gaussian_etas(unit_params(), PulseSpec(delta=0.5))
+        assert half.eta_h == pytest.approx(ETA_H_UNIT_HALF_KAPPA, abs=1e-6)
+        assert half.eta_v == pytest.approx(ETA_V_UNIT_HALF_KAPPA, abs=1e-6)
+        assert half.eta_s == pytest.approx(ETA_S_UNIT_HALF_KAPPA, abs=1e-6)
+
+    def test_ignores_the_quadrature_grid(self):
+        exact = gaussian_etas(unit_params(), PulseSpec(delta=0.5))
+        assert gaussian_etas(unit_params(), PulseSpec(delta=0.5, n_points=64)) == exact
+
+    @pytest.mark.parametrize("kappa_ratio", [math.inf, 13.0])
+    def test_sweep_matches_quadrature_at_the_exceptional_point(self, kappa_ratio):
+        offsets = (-1e-2, -1e-4, -1e-6, -1e-8, 0.0, 1e-8, 1e-6, 1e-4, 1e-2)
+        spec = exceptional_point_sweep(kappa_ratio, offsets)
+        declined = []
+        for row in run_sweep(spec).rows:
+            params = CavityParams.from_cooperativity(
+                row["value"], kappa_ratio=kappa_ratio, gamma=0.1, probe_detuning=0.1)
+            pulse = PulseSpec(delta=0.1)
+            assert abs(row["pulse_eta_S"] - pulse_etas(params, pulse).eta_s) <= 1e-9
+            declined.append(gaussian_etas(params, pulse) is None)
+        # both paths ran: the merged poles fall back, the outer offsets do not
+        assert declined[4] and not declined[0] and not declined[-1]
+
+
+def test_import_pulls_in_numpy_only():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import spingate, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

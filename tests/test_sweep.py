@@ -78,6 +78,18 @@ class TestReferencePoints:
         assert healthy["flag"] == ""
         assert healthy["eta_S"] is not None
 
+    def test_degenerate_pulse_rows_are_flagged_not_fatal(self):
+        fixed = SweepBaseline(cooperativity=0.25, kappa_ratio=math.inf)
+        spec = SweepSpec(axis=SweepAxis.COOPERATIVITY, grid=(0.0, 1.0), fixed=fixed,
+                         outputs=("pulse_eta_S",))
+        table = run_sweep(spec)
+        degenerate = row_at(table, 0.0)
+        assert degenerate["flag"] == "eta_v_degenerate"
+        assert degenerate["pulse_eta_S"] is None
+        healthy = row_at(table, 1.0)
+        assert healthy["flag"] == ""
+        assert healthy["pulse_eta_S"] is not None
+
 
 class TestMonteCarloColumns:
     def test_monte_carlo_agrees_with_analytic_on_every_row(self):
