@@ -11,10 +11,12 @@ from .cavity import (CavityParams, ReflectionPair, reflection, reflection_pair,
                      reflection_spectrum)
 from .cluster import (ChainState, ConnectResult, FactoryStats, GrowResult,
                       GrowthStrategy, add_fresh, canonical_cluster, chain_fidelity,
-                      connect_chains, grow_chain, new_chain, simulate_factory)
+                      connect_chains, expected_gate_ops, grow_chain, new_chain,
+                      simulate_factory)
 from .gate import (DegenerateRecycleError, Etas, GateConfig, GateOutcome,
-                   GateResult, ModelDomainError, OutcomeDistribution,
-                   analytic_etas, run_gate, single_shot_distribution)
+                   GateResult, GateRuns, ModelDomainError, OutcomeDistribution,
+                   RunOutcome, analytic_etas, run_gate, run_moments, sample_runs,
+                   single_shot_distribution)
 from .pulse import (PulseSpec, QuadratureError, gaussian_etas, projected_spin_state,
                     pulse_etas, spectral_grid)
 from .qstate import (EntangledCutError, Parity, SpinOutcome, StateVector,
@@ -34,12 +36,13 @@ __all__ = [
     "subsystem_fidelity", "ZeroProbabilityError", "EntangledCutError",
     "GateConfig", "GateOutcome", "GateResult", "OutcomeDistribution", "Etas",
     "analytic_etas", "single_shot_distribution", "run_gate",
+    "RunOutcome", "GateRuns", "sample_runs", "run_moments",
     "DegenerateRecycleError", "ModelDomainError",
     "PulseSpec", "QuadratureError", "gaussian_etas", "pulse_etas",
     "projected_spin_state", "spectral_grid",
     "ChainState", "GrowResult", "ConnectResult", "GrowthStrategy", "FactoryStats",
     "new_chain", "add_fresh", "canonical_cluster", "chain_fidelity", "grow_chain",
-    "connect_chains", "simulate_factory",
+    "connect_chains", "simulate_factory", "expected_gate_ops",
     "SweepAxis", "SweepBaseline", "SweepSpec", "Table", "OUTPUT_COLUMNS",
     "run_sweep", "emit", "parse_csv", "grid_from_string",
 ]

@@ -30,6 +30,11 @@ chains of lengths m-1 and n-1.
 
 ``canonical_cluster`` builds the reference state by direct expansion and
 is the oracle every grow/connect path is checked against.
+
+A gate run succeeds with the same probability whatever the register
+holds, so the resource factory (``simulate_factory``) walks over chain
+lengths with runs drawn by ``gate.sample_runs`` and builds no register;
+``expected_gate_ops`` is its exact mean.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from typing import Optional
 
 import numpy as np
 
-from .gate import GateConfig, GateOutcome, GateResult, run_gate
+from .gate import GateConfig, GateOutcome, GateResult, RunOutcome, run_gate, sample_runs
 from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, apply_1q, collapse_z,
-                     measure_z, permute, split, subsystem_fidelity, tensor)
+                     measure_z, split, subsystem_fidelity, tensor)
+from .qstate import permute  # noqa: F401  unused; the benchmark tracer wraps cluster.permute
 
 MAX_FACTORY_TARGET = 10
 _MAX_OPS_PER_TRIAL = 1_000_000
@@ -258,66 +264,42 @@ class FactoryStats:
         return Table(columns=columns, rows=(row,))
 
 
-def _compact(chain: ChainState) -> ChainState:
-    """Shrink the register to exactly the chain qubits, relabeled 0..L-1."""
-    n = chain.register.n
-    if chain.labels == tuple(range(n)):
-        return chain
-    if chain.length == n:
-        return ChainState(permute(chain.register, chain.labels), tuple(range(n)))
-    sub, _ = split(chain.register, chain.labels)
-    return ChainState(sub, tuple(range(chain.length)))
+def _gate_runs(config: GateConfig, rng: np.random.Generator):
+    """Endless (succeeded, attempts) pairs of gate runs, drawn 512 at a time."""
+    while True:
+        outcome, attempts = sample_runs(config, 512, rng)
+        yield from zip((outcome == RunOutcome.SUCCESS).tolist(), attempts.tolist())
 
 
-class _Budget:
-    """Per-trial op counter; bails out of runaway configurations."""
+class _Trial:
+    """The gate operations and photons one factory trial spends."""
 
-    def __init__(self):
-        self.ops = 0
-        self.photons = 0
+    def __init__(self, runs):
+        self.runs, self.ops, self.photons = runs, 0, 0
 
-    def charge(self, result: GateResult) -> None:
+    def succeeds(self) -> bool:
+        success, attempts = next(self.runs)
         self.ops += 1
-        self.photons += result.attempts
+        self.photons += attempts
         if self.ops > _MAX_OPS_PER_TRIAL:
             raise RuntimeError("factory trial exceeded the gate-operation budget")
+        return success
 
 
-def _grow_to(chain: ChainState, target: int, config: GateConfig,
-             rng: np.random.Generator, budget: _Budget) -> ChainState:
-    while chain.length < target:
-        if chain.length == 0:
-            chain = new_chain()
-            continue
-        extended, fresh = add_fresh(chain)
-        result = grow_chain(extended, fresh, config, rng)
-        budget.charge(result.gate)
-        chain = result.chain if result.chain.length > chain.length else _safe_compact(result.chain)
-    return chain
+def _grow_to(length: int, target: int, trial: _Trial) -> None:
+    length = max(length, 1)  # an emptied chain re-prepares one spin for free
+    while length < target:
+        length = length + 1 if trial.succeeds() else max(length - 1, 1)
 
 
-def _safe_compact(chain: ChainState) -> ChainState:
-    if chain.length == 0:
-        return ChainState(StateVector.plus(), ())  # placeholder register, no chain
-    return _compact(chain)
-
-
-def _build_pairwise(target: int, config: GateConfig, rng: np.random.Generator,
-                    budget: _Budget) -> ChainState:
-    if target == 1:
-        return new_chain()
-    left_target = (target + 1) // 2
-    right_target = target // 2
-    left = _build_pairwise(left_target, config, rng, budget)
-    right = _build_pairwise(right_target, config, rng, budget)
-    while True:
-        result = connect_chains(left, right, config, rng)
-        budget.charge(result.gate)
-        if result.chain is not None:
-            return _compact(result.chain)
-        part_left, part_right = result.parts
-        left = _grow_to(_safe_compact(part_left), left_target, config, rng, budget)
-        right = _grow_to(_safe_compact(part_right), right_target, config, rng, budget)
+def _build_pairwise(target: int, trial: _Trial) -> None:
+    if target > 1:
+        left, right = (target + 1) // 2, target // 2
+        _build_pairwise(left, trial)
+        _build_pairwise(right, trial)
+        while not trial.succeeds():  # a failed connection costs each half one spin
+            _grow_to(left - 1, left, trial)
+            _grow_to(right - 1, right, trial)
 
 
 def simulate_factory(target_length: int, config: GateConfig,
@@ -329,27 +311,44 @@ def simulate_factory(target_length: int, config: GateConfig,
     whenever failures wipe the chain out.  PAIRWISE builds two half-length
     chains recursively and connects them, regrowing the damaged halves
     after a failed connection.  Photons and gate operations are counted
-    until the target length is first reached.
-
-    Interior connections produce branched graph states rather than linear
-    clusters (see the module docstring); that does not affect resource
-    counts, because the gate's outcome probabilities are independent of
-    the register state.
+    until the target length is first reached; a trial that spends more
+    than 1e6 gate operations raises RuntimeError.
     """
     if not 1 <= target_length <= MAX_FACTORY_TARGET:
         raise ValueError(f"target length must be in [1, {MAX_FACTORY_TARGET}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    photons = np.zeros(trials, dtype=np.int64)
-    ops = np.zeros(trials, dtype=np.int64)
+    counts = np.zeros((2, trials), dtype=np.int64)  # photons, gate ops
+    runs = _gate_runs(config, rng)
     for i in range(trials):
-        budget = _Budget()
+        trial = _Trial(runs)
         if strategy is GrowthStrategy.SEQUENTIAL:
-            _grow_to(new_chain(), target_length, config, rng, budget)
+            _grow_to(1, target_length, trial)
         elif strategy is GrowthStrategy.PAIRWISE:
-            _build_pairwise(target_length, config, rng, budget)
+            _build_pairwise(target_length, trial)
         else:
             raise TypeError(f"unknown strategy {strategy!r}")
-        photons[i] = budget.photons
-        ops[i] = budget.ops
-    return FactoryStats(strategy, target_length, photons, ops)
+        counts[:, i] = trial.photons, trial.ops
+    return FactoryStats(strategy, target_length, *counts)
+
+
+def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
+    """Exact mean gate operations per ``simulate_factory`` trial, at any length.
+
+    p is one gate operation's success probability (``run_moments``; times
+    its mean attempts, this gives photons).  Growing from j to j + 1 spins
+    takes h_j = (1 + (1 - p) h_{j-1}) / p operations on average, h_0 = 0,
+    as a failure costs one spin (Barrett & Kok, PRA 71, 060310(R) (2005)).
+    """
+    if target < 1 or not 0.0 < p <= 1.0:
+        raise ValueError("need target >= 1 and p in (0, 1]")
+    if not isinstance(strategy, GrowthStrategy):
+        raise TypeError(f"unknown strategy {strategy!r}")
+    h = [0.0]
+    for _ in range(1, target):
+        h.append((1.0 + (1.0 - p) * h[-1]) / p)
+    if strategy is GrowthStrategy.SEQUENTIAL or target == 1:
+        return sum(h)
+    left, right = (target + 1) // 2, target // 2
+    connect = (1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
+    return sum(expected_gate_ops(n, p, strategy) for n in (left, right)) + connect

@@ -24,6 +24,12 @@ a perfect detector these reduce to the analytic efficiencies
     eta_V = |r1 + r0|**2 / 4         heralded recycle
     eta_S = eta_H / (1 - eta_V)      success with unbounded recycling
 
+Only the split of p_even + p_odd depends on the register, so how a
+repeat-until-success run ends (success, loss, or the recycle cap) and how
+many photons it takes do not: ``sample_runs`` draws whole runs from the
+per-attempt probabilities without a register, and ``run_moments`` gives
+their exact success probability and mean photon count.
+
 Two modelling notes:
 
 * Dephasing is a trajectory channel: on every attempt each of the two
@@ -126,6 +132,22 @@ class OutcomeDistribution:
         return np.array([self.p_even, self.p_odd, self.p_recycle, self.p_loss])
 
 
+class RunOutcome(enum.IntEnum):
+    """How a repeat-until-success gate run ends, as ``sample_runs`` codes it."""
+
+    SUCCESS = 0  # a success click, of either parity
+    LOSS = 1     # no click: the photon was lost or missed by the detectors
+    CAP = 2      # max_recycles + 1 recycle clicks in a row
+
+
+class GateRuns(NamedTuple):
+    """Outcome codes (``RunOutcome``, int8) and photons used (int64) of
+    independent gate runs."""
+
+    outcome: np.ndarray
+    attempts: np.ndarray
+
+
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of one repeat-until-success gate run.
@@ -152,6 +174,28 @@ def analytic_etas(pair: ReflectionPair) -> Etas:
     return Etas(eta_h, eta_v, eta_h / (1.0 - eta_v))
 
 
+def _attempt_probabilities(config: GateConfig) -> tuple[float, float, float]:
+    """(p_unit, p_recycle, p_loss) of one attempt on any normalized register.
+
+    The parity weights only split p_unit between the two success clicks,
+    so these three numbers fix how every gate run ends and how many
+    photons it takes.  Raises ModelDomainError where the branches sum to
+    more than one.
+    """
+    eta_det = config.detector_efficiency
+    eta_in = config.eta_in
+    p_unit = eta_det * eta_in ** 2 * abs(config.pair.d) ** 2
+    amp_v = eta_in * config.pair.s + math.sqrt(max(0.0, 1.0 - eta_in ** 2))
+    p_recycle = eta_det * abs(amp_v) ** 2
+    p_loss = 1.0 - (p_unit + p_recycle)
+    if p_loss < -_SUM_ATOL:
+        raise ModelDomainError(
+            "branch probabilities sum to "
+            f"{p_unit + p_recycle:.6f} > 1; the coherent mode-mismatch "
+            "model does not cover these parameters")
+    return p_unit, p_recycle, max(0.0, p_loss)
+
+
 def single_shot_distribution(config: GateConfig, state: StateVector,
                              q1: int, q2: int) -> OutcomeDistribution:
     """Probabilities of the four single-photon outcomes for the current state."""
@@ -164,20 +208,54 @@ def single_shot_distribution(config: GateConfig, state: StateVector,
             raise
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    eta_det = config.detector_efficiency
-    eta_in = config.eta_in
-    p_unit = eta_det * eta_in ** 2 * abs(config.pair.d) ** 2
-    amp_v = eta_in * config.pair.s + math.sqrt(max(0.0, 1.0 - eta_in ** 2))
+    p_unit, p_recycle, _ = _attempt_probabilities(config)
     p_even = p_unit * w_even
     p_odd = p_unit * w_odd
-    p_recycle = eta_det * abs(amp_v) ** 2
     p_loss = 1.0 - (p_even + p_odd + p_recycle)
-    if p_loss < -_SUM_ATOL:
-        raise ModelDomainError(
-            "branch probabilities sum to "
-            f"{p_even + p_odd + p_recycle:.6f} > 1; the coherent mode-mismatch "
-            "model does not cover these parameters")
     return OutcomeDistribution(p_even, p_odd, p_recycle, max(0.0, p_loss))
+
+
+def run_moments(config: GateConfig) -> tuple[float, float]:
+    """(p_success, mean_attempts) of one repeat-until-success run, exactly.
+
+    With R = max_recycles and v = p_recycle, a run averages
+    (1 - v**(R+1)) / (1 - v) photons and succeeds with probability p_unit
+    times that; for a perfect detector and eta_in = 1 this is the capped
+    efficiency eta_H (1 - eta_V**(R+1)) / (1 - eta_V).  These are the laws
+    ``sample_runs`` draws from.
+    """
+    p_unit, p_recycle, _ = _attempt_probabilities(config)
+    cap = config.max_recycles + 1
+    if p_recycle >= 1.0:
+        return 0.0, float(cap)
+    # 1 + v + ... + v**R, written to stay accurate for v close to one
+    v = p_recycle
+    mean_attempts = 1.0 if v == 0.0 else -math.expm1(cap * math.log(v)) / (1.0 - v)
+    return p_unit * mean_attempts, mean_attempts
+
+
+def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRuns:
+    """Outcomes and photon counts of n independent repeat-until-success runs.
+
+    Every gate error is heralded and a recycle click leaves the register
+    untouched, so how a run ends and how many photons it takes do not
+    depend on the register: this draws them without one.  A run takes
+    min(G, R+1) attempts, with G ~ Geometric(1 - p_recycle) on 1, 2, ...
+    and R = max_recycles.  G > R+1 ends the run at the cap; otherwise one
+    uniform draw makes it a success with probability
+    p_unit / (p_unit + p_loss), else a loss.  Dephasing flips phases only,
+    so it changes neither.
+    """
+    p_unit, p_recycle, p_loss = _attempt_probabilities(config)
+    cap = config.max_recycles + 1
+    if p_recycle >= 1.0:
+        return GateRuns(np.full(n, RunOutcome.CAP, dtype=np.int8),
+                        np.full(n, cap, dtype=np.int64))
+    ends_at = rng.geometric(1.0 - p_recycle, size=n)
+    success = rng.random(n) < p_unit / (p_unit + p_loss)
+    outcome = np.where(success, RunOutcome.SUCCESS, RunOutcome.LOSS).astype(np.int8)
+    outcome[ends_at > cap] = RunOutcome.CAP
+    return GateRuns(outcome, np.minimum(ends_at, cap))
 
 
 def _apply_dephasing(state: StateVector, qubits, p: float,

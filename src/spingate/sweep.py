@@ -8,6 +8,12 @@ reproducible: row i uses an independent generator seeded with
 ``seed XOR i``, so rows can be computed in any order or in parallel
 without changing a single output byte.
 
+The Monte Carlo columns (``mc_eta_S``, ``mean_attempts``) draw whole gate
+runs from the per-attempt law (``gate.sample_runs``): success, recycle
+and loss probabilities that no register state changes, truncated at
+``max_recycles``.  No state vector is built.  Dephasing flips phases
+only, so it changes neither column.
+
 All numeric cells are quantized to 9 significant digits when the table is
 built, which makes emit -> parse -> emit the identity on bytes.
 """
@@ -24,10 +30,11 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams, reflection_pair
-from .gate import (DegenerateRecycleError, GateConfig, GateOutcome,
-                   analytic_etas, run_gate)
+from .gate import (DegenerateRecycleError, GateConfig, RunOutcome, analytic_etas,
+                   sample_runs)
+from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
 from .pulse import PulseSpec, gaussian_etas, pulse_etas
-from .qstate import StateVector, tensor
+from .qstate import tensor  # noqa: F401  unused; the benchmark tracer wraps sweep.tensor
 
 
 class SweepAxis(enum.Enum):
@@ -162,16 +169,10 @@ def _monte_carlo(params, eta_in, base: SweepBaseline, rng) -> tuple[float, float
                         detector_efficiency=base.detector_efficiency,
                         max_recycles=base.max_recycles,
                         dephasing_per_attempt=base.dephasing)
-    state = tensor(StateVector.plus(), StateVector.plus())
-    successes = 0
-    attempts = 0
-    for _ in range(base.trials):
-        result = run_gate(config, state, 0, 1, rng)
-        successes += result.outcome is not GateOutcome.FAILURE
-        attempts += result.attempts
-    rate = successes / base.trials
+    outcome, attempts = sample_runs(config, base.trials, rng)
+    rate = np.count_nonzero(outcome == RunOutcome.SUCCESS) / base.trials
     stderr = math.sqrt(rate * (1.0 - rate) / base.trials)
-    return rate, stderr, attempts / base.trials
+    return rate, stderr, int(attempts.sum()) / base.trials
 
 
 def compute_row(spec: SweepSpec, index: int) -> dict:

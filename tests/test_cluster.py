@@ -16,8 +16,9 @@ import pytest
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.cluster import (ChainState, GrowthStrategy, add_fresh,
                               canonical_cluster, chain_fidelity, connect_chains,
-                              grow_chain, new_chain, simulate_factory)
-from spingate.gate import GateConfig, GateOutcome, analytic_etas
+                              expected_gate_ops, grow_chain, new_chain,
+                              simulate_factory)
+from spingate.gate import GateConfig, GateOutcome, analytic_etas, run_moments
 from spingate.qstate import (SpinOutcome, StateVector, apply_1q, fidelity,
                              subsystem_fidelity)
 
@@ -335,3 +336,73 @@ class TestFactory:
         with pytest.raises(ValueError):
             simulate_factory(2, IDEAL, GrowthStrategy.SEQUENTIAL,
                              np.random.default_rng(0), trials=0)
+
+
+class TestExactExpectations:
+    """The library's exact resource model against the oracles above."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
+    def test_expected_gate_ops_match_the_oracles(self, p):
+        for target in range(1, 31):
+            assert expected_gate_ops(target, p, GrowthStrategy.SEQUENTIAL) == \
+                pytest.approx(sequential_expected_ops(target, p), rel=1e-12, abs=0)
+            assert expected_gate_ops(target, p, GrowthStrategy.PAIRWISE) == \
+                pytest.approx(pairwise_expected_ops(target, p), rel=1e-12, abs=0)
+
+    def test_run_moments_match_the_oracle(self):
+        half = math.sqrt(0.5)
+        pairs = [ReflectionPair.ideal(), ReflectionPair.from_coefficients(-half, half),
+                 ReflectionPair.from_coefficients(0.3, 0.9)]
+        pairs += [reflection_pair(CavityParams.from_cooperativity(
+            c, kappa_ratio=13.0, gamma=0.1, probe_detuning=detuning))
+            for c, detuning in [(0.25, 0.0), (1.0, 0.0), (1.0, 2.0), (1.0, 4.0)]]
+        for pair in pairs:
+            for cap in (0, 1, 50, 200):
+                moments = run_moments(GateConfig(pair=pair, max_recycles=cap))
+                assert moments == pytest.approx(gate_op_moments(pair, cap), rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            expected_gate_ops(0, 0.5, GrowthStrategy.SEQUENTIAL)
+        with pytest.raises(ValueError):
+            expected_gate_ops(4, 0.0, GrowthStrategy.PAIRWISE)
+        with pytest.raises(TypeError):
+            expected_gate_ops(4, 0.5, "pairwise")
+
+
+class TestFactoryCountsOnly:
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_ideal_build_spends_one_photon_per_bond(self, strategy):
+        for target in range(1, 11):
+            stats = simulate_factory(target, IDEAL, strategy, np.random.default_rng(target),
+                                     trials=8)
+            assert np.all(stats.gate_ops == target - 1)
+            assert np.all(stats.photons == target - 1)
+
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_a_gate_that_never_succeeds_exhausts_the_budget(self, strategy):
+        # eta_H = 0: every run recycles or loses its photon
+        config = GateConfig(pair=ReflectionPair.from_coefficients(0.5, 0.5))
+        with pytest.raises(RuntimeError, match="budget"):
+            simulate_factory(4, config, strategy, np.random.default_rng(0), trials=1)
+
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_builds_no_register(self, strategy, monkeypatch):
+        import spingate.cluster
+        import spingate.gate
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the factory touched a register")
+
+        for module, names in ((spingate.cluster, ("run_gate", "apply_1q", "collapse_z",
+                                                  "measure_z", "permute", "split",
+                                                  "subsystem_fidelity", "tensor")),
+                              (spingate.gate, ("apply_1q", "parity_weights",
+                                               "project_parity"))):
+            for name in names:
+                monkeypatch.setattr(module, name, forbidden)
+        config = GateConfig(pair=reflection_pair(
+            CavityParams.from_cooperativity(1.0, kappa_ratio=13.0, gamma=0.1)))
+        stats = simulate_factory(8, config, strategy, np.random.default_rng(5), trials=50)
+        assert np.all(stats.gate_ops >= 7)
+        assert np.all(stats.photons >= stats.gate_ops)
