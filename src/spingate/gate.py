@@ -59,6 +59,10 @@ from .qstate import Parity, StateVector, apply_1q, parity_weights, project_parit
 
 _SUM_ATOL = 1e-12
 _DEGENERATE_ATOL = 1e-15
+# sample_runs draws at least this many uniforms at a time: few enough to
+# stay small in memory, enough that a row of strongly recycling runs
+# needs only a handful of numpy passes
+_DRAW_BLOCK = 4096
 
 
 class GateOutcome(enum.Enum):
@@ -239,23 +243,41 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
 
     Every gate error is heralded and a recycle click leaves the register
     untouched, so how a run ends and how many photons it takes do not
-    depend on the register: this draws them without one.  A run takes
-    min(G, R+1) attempts, with G ~ Geometric(1 - p_recycle) on 1, 2, ...
-    and R = max_recycles.  G > R+1 ends the run at the cap; otherwise one
-    uniform draw makes it a success with probability
-    p_unit / (p_unit + p_loss), else a loss.  Dephasing flips phases only,
-    so it changes neither.
+    depend on the register: this draws them without one.  It reads one
+    uniform per attempt and splits it at the same thresholds as
+    ``run_gate``, and gives back the draws past the end of the n-th run,
+    so with dephasing off it yields run for run what n ``run_gate`` calls
+    would and leaves ``rng`` in the same state.  Dephasing flips phases
+    only: it changes no outcome, and this draws nothing for it.
     """
-    p_unit, p_recycle, p_loss = _attempt_probabilities(config)
+    p_unit, p_recycle, _ = _attempt_probabilities(config)
     cap = config.max_recycles + 1
-    if p_recycle >= 1.0:
-        return GateRuns(np.full(n, RunOutcome.CAP, dtype=np.int8),
-                        np.full(n, cap, dtype=np.int64))
-    ends_at = rng.geometric(1.0 - p_recycle, size=n)
-    success = rng.random(n) < p_unit / (p_unit + p_loss)
-    outcome = np.where(success, RunOutcome.SUCCESS, RunOutcome.LOSS).astype(np.int8)
-    outcome[ends_at > cap] = RunOutcome.CAP
-    return GateRuns(outcome, np.minimum(ends_at, cap))
+    outcome = np.empty(n, dtype=np.int8)
+    attempts = np.empty(n, dtype=np.int64)
+    done = spent = 0  # runs finished; recycles already spent by the open run
+    while done < n:
+        saved = rng.bit_generator.state
+        u = rng.random(max(n - done, _DRAW_BLOCK))
+        recycled = (u >= p_unit) & (u < p_unit + p_recycle)
+        position = np.arange(u.size)
+        # a run's attempts restart after each success or loss click ...
+        clicked = np.maximum.accumulate(np.where(recycled, -1, position))
+        previous = np.concatenate(([-1], clicked[:-1]))
+        since = position - previous - 1
+        since[previous < 0] += spent
+        # ... and after every cap-many recycles in a row
+        attempt = since % cap + 1
+        ended = np.flatnonzero(~recycled | (attempt == cap))[:n - done]
+        outcome[done:done + ended.size] = np.where(
+            recycled[ended], RunOutcome.CAP,
+            np.where(u[ended] < p_unit, RunOutcome.SUCCESS, RunOutcome.LOSS))
+        attempts[done:done + ended.size] = attempt[ended]
+        done += ended.size
+        spent = 0 if ended.size and ended[-1] == u.size - 1 else int(attempt[-1])
+    if n:  # replay the block up to the end of run n: the rest stays undrawn
+        rng.bit_generator.state = saved
+        rng.random(ended[-1] + 1)
+    return GateRuns(outcome, attempts)
 
 
 def _apply_dephasing(state: StateVector, qubits, p: float,

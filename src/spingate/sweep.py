@@ -11,8 +11,10 @@ without changing a single output byte.
 The Monte Carlo columns (``mc_eta_S``, ``mean_attempts``) draw whole gate
 runs from the per-attempt law (``gate.sample_runs``): success, recycle
 and loss probabilities that no register state changes, truncated at
-``max_recycles``.  No state vector is built.  Dephasing flips phases
-only, so it changes neither column.
+``max_recycles``.  No state vector is built.  The sampler reads the same
+uniforms as a loop of ``gate.run_gate`` calls, so without dephasing the
+columns equal what that loop gives for the same seed.  Dephasing flips
+phases only, so it changes neither column.
 
 All numeric cells are quantized to 9 significant digits when the table is
 built, which makes emit -> parse -> emit the identity on bytes.

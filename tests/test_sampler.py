@@ -2,6 +2,8 @@
 
 Each statistical check compares a count over a large number of runs with
 its exact truncated law, within 5 standard deviations, at a fixed seed.
+The sampler also reads the same uniforms as ``run_gate``, so it must agree
+with a loop of ``run_gate`` calls run for run.
 """
 
 import math
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
-from spingate.gate import (GateConfig, ModelDomainError, RunOutcome, analytic_etas,
-                           run_moments, sample_runs)
+from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
+                           analytic_etas, run_gate, run_moments, sample_runs)
+from spingate.qstate import StateVector, tensor
+from spingate.sweep import SweepAxis, SweepBaseline, SweepSpec, run_sweep
 
 RUNS = 400_000
 # eta_H = 0.09, eta_V = 0.36, loss 0.55: every outcome and the cap are common
@@ -123,3 +127,42 @@ class TestSampleRunsExact:
         b = sample_runs(noisy, 5000, np.random.default_rng(7))
         assert np.array_equal(a.outcome, b.outcome)
         assert np.array_equal(a.attempts, b.attempts)
+
+
+class TestSampleRunsIsRunGate:
+    CONFIGS = [GateConfig(pair=MIXED, max_recycles=3), GateConfig(pair=MIXED, max_recycles=0),
+               GateConfig(pair=detuned_cavity()),
+               GateConfig(pair=reflection_pair(CavityParams.from_cooperativity(
+                   1.0, kappa_ratio=13.0, gamma=0.1)),
+                   eta_in=0.9, detector_efficiency=0.8, max_recycles=2),
+               GateConfig(pair=ReflectionPair.ideal()),
+               GateConfig(pair=ReflectionPair.from_coefficients(0.5, 0.5)),
+               GateConfig(pair=ReflectionPair.from_coefficients(1.0, 1.0), max_recycles=7)]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_same_runs_and_generator_state(self, config):
+        register = tensor(StateVector.plus(), StateVector.plus())
+        for seed in range(4):
+            for n in (0, 1, 7, 300):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                outcome, attempts = sample_runs(config, n, ours)
+                reference = [run_gate(config, register, 0, 1, theirs) for _ in range(n)]
+                assert (outcome == RunOutcome.SUCCESS).tolist() == \
+                    [r.outcome is not GateOutcome.FAILURE for r in reference]
+                assert attempts.tolist() == [r.attempts for r in reference]
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_sweep_columns_are_those_of_run_gate(self):
+        base = SweepBaseline(cooperativity=1.0, trials=400)
+        spec = SweepSpec(SweepAxis.DETUNING, (0.0, 1.0, 2.0, 4.0), base,
+                         outputs=("mc_eta_S", "mean_attempts"), seed=11)
+        register = tensor(StateVector.plus(), StateVector.plus())
+        for index, row in enumerate(run_sweep(spec).rows):
+            config = GateConfig(pair=reflection_pair(CavityParams.from_cooperativity(
+                1.0, kappa_ratio=13.0, gamma=0.1, probe_detuning=spec.grid[index])))
+            rng = np.random.default_rng(spec.seed ^ index)
+            runs = [run_gate(config, register, 0, 1, rng) for _ in range(base.trials)]
+            successes = sum(r.outcome is not GateOutcome.FAILURE for r in runs)
+            assert row["mc_eta_S"] == float(format(successes / base.trials, ".9g"))
+            assert row["mean_attempts"] == \
+                float(format(sum(r.attempts for r in runs) / base.trials, ".9g"))
