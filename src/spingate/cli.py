@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trion-offset", type=float, help="omega_x - omega_c")
     parser.add_argument("--eta-in", type=float, help="input-coupling amplitude")
     parser.add_argument("--detector-eff", type=float, help="detector efficiency")
-    parser.add_argument("--dephasing", type=float, help="Z-error probability per attempt")
+    parser.add_argument("--dephasing", type=float,
+                        help="Z-error probability per attempt; no current output "
+                             "column depends on it")
     parser.add_argument("--max-recycles", type=int)
     parser.add_argument("--bandwidth", type=float,
                         help="pulse bandwidth (units of kappa); the pulse is centred "
@@ -71,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH",
                         help="output path ('-' for stdout); defaults to "
                              f"<axis>_sweep.<ext> under ${ENV_OUT_DIR} or the cwd")
-    parser.add_argument("--workers", type=int, help="parallel row workers")
     return parser
 
 
@@ -91,7 +92,7 @@ def _load_config(path: str) -> dict:
 def _assemble(args: argparse.Namespace):
     config = _load_config(args.config) if args.config else {}
     baseline_keys = {f.name for f in fields(SweepBaseline)}
-    spec_keys = {"axis", "grid", "outputs", "seed", "format", "out", "workers"}
+    spec_keys = {"axis", "grid", "outputs", "seed", "format", "out"}
     unknown = set(config) - baseline_keys - spec_keys
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -142,35 +143,33 @@ def _assemble(args: argparse.Namespace):
     fmt = args.fmt or config.get("format", "csv")
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
-    workers = args.workers if args.workers is not None else config.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
     out = args.out if args.out is not None else config.get("out")
     if out is None:
         ext = "jsonl" if fmt == "jsonl" else fmt
         out_dir = os.environ.get(ENV_OUT_DIR, ".")
         out = os.path.join(out_dir, f"{axis.value}_sweep.{ext}")
-    return spec, fmt, out, workers
+    return spec, fmt, out
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec, fmt, out, workers = _assemble(args)
+        spec, fmt, out = _assemble(args)
     except ConfigError as exc:
         print(f"spingate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        table = run_sweep(spec, workers=workers)
+        table = run_sweep(spec)
     except (ValueError, ArithmeticError) as exc:
         print(f"spingate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        text = emit(table, fmt, None if out == "-" else out)
         if out == "-":
-            sys.stdout.write(emit(table, fmt))
-        else:
-            emit(table, fmt, out)
+            sys.stdout.write(text)
+    except ValueError as exc:
+        print(f"spingate: cannot write {fmt}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"spingate: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

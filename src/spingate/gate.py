@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,6 +64,16 @@ _DEGENERATE_ATOL = 1e-15
 # stay small in memory, enough that a row of strongly recycling runs
 # needs only a handful of numpy passes
 _DRAW_BLOCK = 4096
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer >= minimum.
+
+    Floats (even 3.0) and booleans are rejected: a JSON config file must
+    not pass a fractional trial count or recycle cap.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class GateOutcome(enum.Enum):
@@ -115,8 +126,7 @@ class GateConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.max_recycles < 0:
-            raise ValueError("max_recycles must be >= 0")
+        check_count("max_recycles", self.max_recycles, 0)
 
 
 @dataclass(frozen=True)

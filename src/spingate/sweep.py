@@ -2,11 +2,17 @@
 
 A sweep varies one axis (side-leakage ratio, cooperativity, probe
 detuning, pulse bandwidth, or input coupling) over a grid while every
-other parameter stays at its baseline.  Analytic columns are exact closed
-forms; Monte Carlo columns carry their binomial standard error and are
-reproducible: row i uses an independent generator seeded with
-``seed XOR i``, so rows can be computed in any order or in parallel
-without changing a single output byte.
+other parameter stays at its baseline: each axis names a baseline field,
+and row i is the baseline with that field set to the i-th grid value.
+Rows are computed one after another in this process.  Analytic columns
+are exact closed forms; Monte Carlo columns carry their binomial standard
+error and are reproducible: row i uses its own generator seeded with
+``seed XOR i``, so a row's bytes do not depend on the other rows.
+
+The analytic and pulse columns (``eta_H``, ``eta_V``, ``eta_S``,
+``pulse_eta_S``) assume a perfectly coupled probe and a perfect detector,
+so they do not move along the ``eta_in`` axis or with
+``detector_efficiency``; only the Monte Carlo columns see those losses.
 
 The Monte Carlo columns (``mc_eta_S``, ``mean_attempts``) draw whole gate
 runs from the per-attempt law (``gate.sample_runs``): success, recycle
@@ -14,7 +20,7 @@ and loss probabilities that no register state changes, truncated at
 ``max_recycles``.  No state vector is built.  The sampler reads the same
 uniforms as a loop of ``gate.run_gate`` calls, so without dephasing the
 columns equal what that loop gives for the same seed.  Dephasing flips
-phases only, so it changes neither column.
+phases only, so it changes neither column; no column depends on it.
 
 All numeric cells are quantized to 9 significant digits when the table is
 built, which makes emit -> parse -> emit the identity on bytes.
@@ -25,15 +31,14 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .cavity import CavityParams, reflection_pair
+from .cavity import CavityParams, ReflectionPair, reflection_pair
 from .gate import (DegenerateRecycleError, GateConfig, RunOutcome, analytic_etas,
-                   sample_runs)
+                   check_count, sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
 from .pulse import PulseSpec, gaussian_etas, pulse_etas
 from .qstate import tensor  # noqa: F401  unused; the benchmark tracer wraps sweep.tensor
@@ -86,6 +91,12 @@ class SweepBaseline:
     pulse_points: int = 1 << 17
     trials: int = 10_000
 
+    def __post_init__(self) -> None:
+        # checked here too so that sweeps without Monte Carlo columns,
+        # which build no GateConfig, reject a bad cap as well
+        check_count("max_recycles", self.max_recycles, 0)
+        check_count("trials", self.trials, 1)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -100,13 +111,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        if any(math.isnan(v) for v in self.grid):
+            raise ValueError("grid values must not be NaN")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         unknown = set(self.outputs) - set(OUTPUT_COLUMNS)
         if unknown:
             raise ValueError(f"unknown outputs: {sorted(unknown)}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_count("seed", self.seed, 0)
         # mc_eta_S always reports its standard error
         outputs = [c for c in OUTPUT_COLUMNS
                    if c in self.outputs or (c == "mc_stderr" and "mc_eta_S" in self.outputs)]
@@ -143,31 +155,17 @@ def grid_from_string(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _row_inputs(spec: SweepSpec, value: float):
-    base = spec.fixed
-    kappa_ratio = base.kappa_ratio
-    cooperativity = base.cooperativity
-    detuning = base.detuning
-    eta_in = base.eta_in
-    bandwidth = base.bandwidth
-    if spec.axis is SweepAxis.KAPPA_RATIO:
-        kappa_ratio = value
-    elif spec.axis is SweepAxis.COOPERATIVITY:
-        cooperativity = value
-    elif spec.axis is SweepAxis.DETUNING:
-        detuning = value
-    elif spec.axis is SweepAxis.BANDWIDTH:
-        bandwidth = value
-    elif spec.axis is SweepAxis.ETA_IN:
-        eta_in = value
+def _row_inputs(spec: SweepSpec, value: float) -> tuple[SweepBaseline, CavityParams]:
+    base = replace(spec.fixed, **{spec.axis.value: value})
     params = CavityParams.from_cooperativity(
-        cooperativity, kappa_ratio=kappa_ratio, gamma=base.gamma,
-        probe_detuning=detuning, trion_offset=base.trion_offset)
-    return params, eta_in, bandwidth
+        base.cooperativity, kappa_ratio=base.kappa_ratio, gamma=base.gamma,
+        probe_detuning=base.detuning, trion_offset=base.trion_offset)
+    return base, params
 
 
-def _monte_carlo(params, eta_in, base: SweepBaseline, rng) -> tuple[float, float, float]:
-    config = GateConfig(pair=reflection_pair(params), eta_in=eta_in,
+def _monte_carlo(pair: ReflectionPair, base: SweepBaseline,
+                 rng) -> tuple[float, float, float]:
+    config = GateConfig(pair=pair, eta_in=base.eta_in,
                         detector_efficiency=base.detector_efficiency,
                         max_recycles=base.max_recycles,
                         dephasing_per_attempt=base.dephasing)
@@ -180,7 +178,8 @@ def _monte_carlo(params, eta_in, base: SweepBaseline, rng) -> tuple[float, float
 def compute_row(spec: SweepSpec, index: int) -> dict:
     """One grid point; independent of every other row."""
     value = spec.grid[index]
-    params, eta_in, bandwidth = _row_inputs(spec, value)
+    base, params = _row_inputs(spec, value)
+    pair = reflection_pair(params)
     row = {c: None for c in spec.columns}
     row["axis"] = spec.axis.value
     row["value"] = quantize(value)
@@ -188,10 +187,9 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
     wants = set(spec.outputs)
     if wants & {"eta_H", "eta_V", "eta_S"}:
         try:
-            etas = analytic_etas(reflection_pair(params))
+            etas = analytic_etas(pair)
             values = {"eta_H": etas.eta_h, "eta_V": etas.eta_v, "eta_S": etas.eta_s}
         except DegenerateRecycleError:
-            pair = reflection_pair(params)
             values = {"eta_H": abs(pair.d) ** 2, "eta_V": abs(pair.s) ** 2, "eta_S": None}
             row["flag"] = _FLAG_DEGENERATE
         for name in ("eta_H", "eta_V", "eta_S"):
@@ -199,15 +197,15 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
                 row[name] = quantize(values[name])
     if wants & {"mc_eta_S", "mean_attempts"}:
         rng = np.random.default_rng(spec.seed ^ index)
-        rate, stderr, mean_attempts = _monte_carlo(params, eta_in, spec.fixed, rng)
+        rate, stderr, mean_attempts = _monte_carlo(pair, base, rng)
         if "mc_eta_S" in wants:
             row["mc_eta_S"] = quantize(rate)
             row["mc_stderr"] = quantize(stderr)
         if "mean_attempts" in wants:
             row["mean_attempts"] = quantize(mean_attempts)
     if "pulse_eta_S" in wants:
-        pulse = PulseSpec(delta=bandwidth, center=spec.fixed.pulse_center,
-                          n_points=spec.fixed.pulse_points)
+        pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center,
+                          n_points=base.pulse_points)
         try:
             etas = gaussian_etas(params, pulse) or pulse_etas(params, pulse)
             row["pulse_eta_S"] = quantize(etas.eta_s)
@@ -217,21 +215,11 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
     return row
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> Table:
-    """Compute the whole table; deterministic for a given spec and seed.
-
-    Rows are independent work items with per-row generators, so any
-    worker count produces identical bytes.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    indices = range(len(spec.grid))
-    if workers == 1:
-        rows = [compute_row(spec, i) for i in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(compute_row, [spec] * len(spec.grid), indices))
-    return Table(columns=spec.columns, rows=tuple(rows))
+def run_sweep(spec: SweepSpec) -> Table:
+    """Compute the whole table, one row after another; deterministic for a
+    given spec and seed."""
+    rows = tuple(compute_row(spec, i) for i in range(len(spec.grid)))
+    return Table(columns=spec.columns, rows=rows)
 
 
 def emit_csv(table: Table) -> str:

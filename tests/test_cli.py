@@ -1,9 +1,15 @@
 """Command-line driver: flags, config file, exit codes, output routing."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import spingate
 from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, emit_csv,
                             run_sweep)
@@ -110,3 +116,75 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["--axis", "kappa_ratio", "--grid", "1,2", "--format", "xml"])
         assert excinfo.value.code == 2
+
+    def test_workers_flag_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--axis", "kappa_ratio", "--grid", "5,13", "--workers", "2"])
+        assert excinfo.value.code == 2
+
+    def test_workers_config_key_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"axis": "kappa_ratio", "grid": [5, 13],
+                                    "workers": 2}))
+        assert main(["--config", str(path), "--out", "-"]) == EXIT_CONFIG
+        assert "workers" in capsys.readouterr().err
+
+
+class TestIntegerFields:
+    MC = ["--axis", "kappa_ratio", "--grid", "13", "--outputs", "mc_eta_S", "--out", "-"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 1000.5), ("trials", True), ("seed", 1.5), ("seed", True),
+        ("max_recycles", 2.5), ("max_recycles", False)])
+    def test_config_rejects_non_integers(self, tmp_path, capsys, field, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({field: value}))
+        assert main(["--config", str(path)] + self.MC) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert field in captured.err and captured.out == ""
+
+    def test_cap_is_checked_without_monte_carlo_columns(self, capsys):
+        assert main(["--axis", "kappa_ratio", "--grid", "13", "--max-recycles", "-1",
+                     "--out", "-"]) == EXIT_CONFIG
+        assert "max_recycles" in capsys.readouterr().err
+
+    def test_zero_trials_is_a_config_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self.MC + ["--trials", "0"]) == EXIT_CONFIG
+        assert "trials" in capsys.readouterr().err
+
+
+class TestNonFiniteValues:
+    def test_nan_grid_value_is_a_config_error(self, capsys):
+        code = main(["--axis", "bandwidth", "--grid", "nan,0.1",
+                     "--outputs", "pulse_eta_S", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "NaN" in captured.err and captured.out == ""
+
+    def test_leak_free_cavity_prints_in_csv(self, capsys):
+        code = main(["--axis", "kappa_ratio", "--grid", "13,inf", "--c", "0.25",
+                     "--out", "-"])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert rows[-1].startswith("kappa_ratio,inf,")
+
+    def test_non_finite_jsonl_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        code = main(["--axis", "kappa_ratio", "--grid", "13,inf", "--c", "0.25",
+                     "--format", "jsonl", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "jsonl" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_starts_no_process_machinery():
+    source_root = str(Path(spingate.__file__).resolve().parents[1])
+    probe = ("import sys, spingate.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": source_root})
+    assert result.stdout.strip() == "[]"

@@ -305,3 +305,9 @@ class TestDephasing:
             GateConfig(pair=ReflectionPair.ideal(), eta_in=-0.1)
         with pytest.raises(ValueError):
             GateConfig(pair=ReflectionPair.ideal(), max_recycles=-1)
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True])
+    def test_max_recycles_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError, match="max_recycles"):
+            GateConfig(pair=ReflectionPair.ideal(), max_recycles=cap)
+        assert GateConfig(pair=ReflectionPair.ideal(), max_recycles=np.int64(3)).max_recycles == 3

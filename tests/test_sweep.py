@@ -3,11 +3,14 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, emit,
-                            emit_csv, emit_jsonl, emit_svg, grid_from_string,
+import spingate.sweep
+from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, compute_row,
+                            emit, emit_csv, emit_jsonl, emit_svg, grid_from_string,
                             parse_csv, quantize, run_sweep)
 
 ANALYTIC = ("eta_H", "eta_V", "eta_S")
@@ -119,13 +122,48 @@ class TestMonteCarloColumns:
         assert pulse[0] > pulse[1] > pulse[2]
         assert rows[0]["pulse_eta_S"] == pytest.approx(rows[0]["eta_S"], abs=1e-3)
 
-    def test_determinism_and_worker_independence(self):
+    def test_determinism_and_row_order_independence(self):
         spec = kappa_sweep(0.25, 0.0, grid=(5.0, 13.0),
                            outputs=("eta_S", "mc_eta_S"),
                            baseline={"trials": 500}, seed=42)
-        serial = emit_csv(run_sweep(spec, workers=1))
-        assert serial == emit_csv(run_sweep(spec, workers=1))
-        assert serial == emit_csv(run_sweep(spec, workers=2))
+        serial = emit_csv(run_sweep(spec))
+        assert serial == emit_csv(run_sweep(spec))
+        backwards = [compute_row(spec, i) for i in reversed(range(len(spec.grid)))]
+        assert backwards[::-1] == list(run_sweep(spec).rows)
+
+
+class TestRowInputs:
+    def test_every_axis_names_a_baseline_field(self):
+        names = {f.name for f in fields(SweepBaseline)}
+        assert {axis.value for axis in SweepAxis} <= names
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_row_is_the_baseline_with_the_axis_field_set(self, axis):
+        base = SweepBaseline(cooperativity=1.0, detuning=0.5, eta_in=1.0,
+                             bandwidth=0.2, trials=300)
+        outputs = ("eta_S", "mc_eta_S", "pulse_eta_S", "mean_attempts")
+        value = {"kappa_ratio": 21.0, "cooperativity": 2.0, "detuning": 1.5,
+                 "bandwidth": 0.05, "eta_in": 0.95}[axis.value]
+        swept = SweepSpec(axis=axis, grid=(value,), fixed=base, outputs=outputs, seed=5)
+        moved = SweepBaseline(**{**base.__dict__, axis.value: value})
+        fixed = SweepSpec(axis=axis, grid=(value,), fixed=moved, outputs=outputs, seed=5)
+        assert compute_row(swept, 0) == compute_row(fixed, 0)
+
+    def test_one_reflection_pair_per_row(self, monkeypatch):
+        calls = []
+        original = spingate.sweep.reflection_pair
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(spingate.sweep, "reflection_pair", counted)
+        spec = kappa_sweep(1.0, 0.0, grid=(5.0, 13.0, 30.0),
+                           outputs=("eta_H", "eta_V", "eta_S", "mc_eta_S",
+                                    "pulse_eta_S", "mean_attempts"),
+                           baseline={"trials": 200})
+        run_sweep(spec)
+        assert len(calls) == 3
 
 
 class TestTableFormats:
@@ -204,6 +242,29 @@ class TestSpecValidation:
             grid_from_string("1:2:0")
         with pytest.raises(ValueError):
             grid_from_string("1:2:3:4")
+
+    def test_nan_grid_rejected_inf_kept(self):
+        for grid in ((math.nan, 0.1), (0.1, math.nan), (math.nan,)):
+            with pytest.raises(ValueError, match="NaN"):
+                SweepSpec(axis=SweepAxis.BANDWIDTH, grid=grid)
+        # kappa_ratio = inf is the leak-free cavity
+        table = run_sweep(kappa_sweep(0.25, 0.0, grid=(13.0, math.inf)))
+        assert table.rows[-1]["value"] == math.inf
+        assert table.rows[-1]["eta_S"] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("value", [1000.5, 3.0, True, 0, -2])
+    def test_trials_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="trials"):
+            SweepBaseline(trials=value)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, -1])
+    def test_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,), seed=value)
+
+    def test_numpy_integers_are_integers(self):
+        assert SweepBaseline(trials=np.int64(7)).trials == 7
+        assert SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,), seed=np.int32(3)).seed == 3
 
     def test_quantize_matches_cell_format(self):
         value = 0.123456789123456789
