@@ -119,10 +119,13 @@ def canonical_cluster(n: int) -> StateVector:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"cluster size must be in [1, {MAX_QUBITS}]")
-    idx = np.arange(2 ** n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    adjacent = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
-    amps = np.where(adjacent % 2 == 0, 1.0, -1.0) / 2 ** (n / 2)
+    idx = np.arange(2 ** n, dtype=np.int32)
+    # bit k of pairs is set when bits k and k+1 are both down; XOR-folding
+    # its (at most 15) bits leaves the parity of their count in bit 0
+    pairs = idx & (idx >> 1)
+    for shift in (8, 4, 2, 1):
+        pairs ^= pairs >> shift
+    amps = (1.0 - 2.0 * (pairs & 1)) / 2 ** (n / 2)
     return StateVector(n, amps.astype(complex))
 
 

@@ -10,6 +10,33 @@ up-up component with ``+`` and the down-down component with ``-``, the odd
 projector keeps up-down with ``+`` and down-up with ``-``.  Those signs
 are exactly what the heralded gate imprints, so downstream feedback
 operations never need to patch phases.
+
+Each kernel is one pass: it reads the amplitudes it needs about once and
+writes one new array.  The layouts:
+
+- ``apply_1q`` views the register as ``(2**q, 2, 2**(n-q-1))``.  X swaps
+  the two middle slices and Z negates the second.  H is one 2x2 matrix
+  product while the trailing axis holds at least 64 amplitudes; below
+  that it writes the scaled sum and difference of the two slices, since
+  a matrix product over a short trailing axis runs as 2**n / run tiny
+  batched products.
+- ``parity_weights`` and ``project_parity`` view it as
+  ``(left, 2, mid, 2, right)``, lower qubit first.  The projector sums
+  the probability of the two kept slices only and writes them, signed
+  and scaled, into a zeroed output.
+- ``collapse_z`` and ``measure_z`` read one slice of the one-qubit view.
+- ``tensor`` is the outer product of the two amplitude vectors.
+- ``permute``, ``split`` and ``subsystem_fidelity`` use the
+  ``(2**k, 2**(n-k))`` matrix whose rows run over the named qubits (a
+  transpose copy when the order needs one).
+
+``split`` certifies a product before it factors anything: the matrix
+column with the largest norm is the candidate subsystem, and contracting
+it against the matrix gives the complement.  When ``1 - |comp|**2`` is
+within ``NORM_ATOL`` the cut is a product; for any unit vector u,
+``|u^H M|**2 <= sigma_1**2``, so the SVD test accepts every state this
+shortcut accepts.  Otherwise it falls back to the SVD, which alone
+decides whether to raise ``EntangledCutError``.
 """
 
 from __future__ import annotations
@@ -26,11 +53,10 @@ _ZERO_PROB = 1e-24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-_GATES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_GATES = ("H", "X", "Z")
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF
+# shortest trailing axis on which apply_1q applies H as a matrix product
+_MATMUL_MIN_TAIL = 64
 
 
 class Parity(enum.Enum):
@@ -140,24 +166,35 @@ def apply_1q(state: StateVector, qubit: int, gate: str) -> StateVector:
     H maps up -> (up + down)/sqrt(2) and down -> (up - down)/sqrt(2).
     """
     view = _axes(state, qubit)
-    try:
-        mat = _GATES[gate]
-    except KeyError:
-        raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(_GATES)}") from None
-    return StateVector(state.n, (mat @ view).reshape(-1))
+    if gate not in _GATES:
+        raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(_GATES)}")
+    if gate == "H" and view.shape[2] >= _MATMUL_MIN_TAIL:
+        return StateVector(state.n, (_HADAMARD @ view).reshape(-1))
+    up, down = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    if gate == "X":
+        out[:, 0] = down
+        out[:, 1] = up
+    elif gate == "Z":
+        out[:, 0] = up
+        np.negative(down, out=out[:, 1])
+    else:
+        np.add(up, down, out=out[:, 0])
+        np.subtract(up, down, out=out[:, 1])
+        out *= _SQRT_HALF
+    return StateVector(state.n, out.reshape(-1))
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared norm of a (possibly strided) view: one vdot, no abs()**2 temporaries."""
+    return float(np.vdot(x, x).real)
 
 
 def parity_weights(state: StateVector, q1: int, q2: int) -> tuple[float, float]:
     """Squared norms of the even and odd parity components on (q1, q2)."""
-    w = np.sum(np.abs(_axes(state, q1, q2)) ** 2, axis=(0, 2, 4))
-    return float(w[0, 0] + w[1, 1]), float(w[0, 1] + w[1, 0])
-
-
-# signed projector diagonals indexed [bit of q1, bit of q2]
-_PARITY_SIGNS = {
-    Parity.EVEN: np.array([[1.0, 0.0], [0.0, -1.0]]),
-    Parity.ODD: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-}
+    view = _axes(state, q1, q2)
+    w = [[_sq_norm(view[:, i, :, j]) for j in (0, 1)] for i in (0, 1)]
+    return w[0][0] + w[1][1], w[0][1] + w[1][0]
 
 
 def project_parity(state: StateVector, q1: int, q2: int,
@@ -171,12 +208,20 @@ def project_parity(state: StateVector, q1: int, q2: int,
     view = _axes(state, q1, q2)
     if not isinstance(outcome, Parity):
         raise TypeError(f"outcome must be a Parity, got {outcome!r}")
-    signs = _PARITY_SIGNS[outcome] if q1 < q2 else _PARITY_SIGNS[outcome].T
-    t = view * signs[:, None, :, None]
-    prob = float(np.sum(np.abs(t) ** 2))
+    # (bit of q1, bit of q2) of the slices kept with + and with -; the view
+    # puts the lower qubit's axis first
+    plus, minus = ((0, 0), (1, 1)) if outcome is Parity.EVEN else ((0, 1), (1, 0))
+    if q1 > q2:
+        plus, minus = plus[::-1], minus[::-1]
+    kept = view[:, plus[0], :, plus[1]], view[:, minus[0], :, minus[1]]
+    prob = _sq_norm(kept[0]) + _sq_norm(kept[1])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"{outcome.value}-parity branch has zero probability")
-    return StateVector(state.n, (t / math.sqrt(prob)).reshape(-1)), prob
+    scale = 1.0 / math.sqrt(prob)
+    out = np.zeros_like(view)
+    np.multiply(kept[0], scale, out=out[:, plus[0], :, plus[1]])
+    np.multiply(kept[1], -scale, out=out[:, minus[0], :, minus[1]])
+    return StateVector(state.n, out.reshape(-1)), prob
 
 
 def collapse_z(state: StateVector, qubit: int,
@@ -187,11 +232,11 @@ def collapse_z(state: StateVector, qubit: int,
     zero-probability branch.
     """
     view = _axes(state, qubit)
-    prob = float(np.sum(np.abs(view[:, outcome]) ** 2))
+    prob = _sq_norm(view[:, outcome])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"branch {SpinOutcome(outcome).name} has zero probability")
     t = np.zeros_like(view)
-    t[:, outcome] = view[:, outcome] / math.sqrt(prob)
+    np.multiply(view[:, outcome], 1.0 / math.sqrt(prob), out=t[:, outcome])
     return StateVector(state.n, t.reshape(-1)), prob
 
 
@@ -199,7 +244,7 @@ def measure_z(state: StateVector, qubit: int,
               rng: np.random.Generator) -> tuple[SpinOutcome, StateVector]:
     """Born-rule Z measurement: one uniform draw per call (outcome UP when
     the draw falls below the up-branch probability)."""
-    p_up = float(np.sum(np.abs(_axes(state, qubit)[:, 0]) ** 2))
+    p_up = _sq_norm(_axes(state, qubit)[:, 0])
     outcome = SpinOutcome.UP if rng.random() < p_up else SpinOutcome.DOWN
     collapsed, _ = collapse_z(state, qubit, outcome)
     return outcome, collapsed
@@ -216,7 +261,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Join two registers; a's qubits become the most significant ones."""
     if a.n + b.n > MAX_QUBITS:
         raise ValueError(f"combined register would exceed {MAX_QUBITS} qubits")
-    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
+    return StateVector(a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def permute(state: StateVector, order) -> StateVector:
@@ -239,12 +284,20 @@ def split(state: StateVector, part) -> tuple[StateVector, StateVector]:
     mat = _as_matrix(state, part)
     if not 0 < len(part) < state.n:
         raise ValueError("part must be a proper non-empty subset of the register")
-    u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-    if 1.0 - sv[0] ** 2 > NORM_ATOL:
-        raise EntangledCutError("subsystem is entangled with its complement")
-    sub = u[:, 0]
-    comp = vh[0]
-    return (StateVector(len(part), sub / np.linalg.norm(sub)),
+    # a product matrix is sub (x) comp: its largest column is parallel to
+    # sub, and contracting that column against it gives comp (module
+    # docstring: the SVD accepts whatever this accepts)
+    col_norms = (np.einsum("ij,ij->j", mat.real, mat.real)
+                 + np.einsum("ij,ij->j", mat.imag, mat.imag))
+    col = mat[:, np.argmax(col_norms)]
+    sub = col / np.linalg.norm(col)
+    comp = sub.conj() @ mat
+    if 1.0 - _sq_norm(comp) > NORM_ATOL:
+        u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+        if 1.0 - sv[0] ** 2 > NORM_ATOL:
+            raise EntangledCutError("subsystem is entangled with its complement")
+        sub, comp = u[:, 0] / np.linalg.norm(u[:, 0]), vh[0]
+    return (StateVector(len(part), sub),
             StateVector(state.n - len(part), comp / np.linalg.norm(comp)))
 
 

@@ -96,6 +96,9 @@ class SweepBaseline:
         # which build no GateConfig, reject a bad cap as well
         check_count("max_recycles", self.max_recycles, 0)
         check_count("trials", self.trials, 1)
+        # PulseSpec's minimum, checked here so a config file cannot set a
+        # fractional grid size that only the quadrature fallback would read
+        check_count("pulse_points", self.pulse_points, 16)
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,11 @@ def parse_csv(text: str) -> Table:
 
 def emit_jsonl(table: Table) -> str:
     lines = []
-    for row in table.rows:
+    for number, row in enumerate(table.rows, 1):
         obj = {c: row[c] for c in table.columns}
+        for column, value in obj.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"row {number}, column {column}: {value} is not valid JSON")
         lines.append(json.dumps(obj, allow_nan=False))
     return "\n".join(lines) + "\n"
 

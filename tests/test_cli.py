@@ -154,6 +154,15 @@ class TestIntegerFields:
             assert main(self.MC + ["--trials", "0"]) == EXIT_CONFIG
         assert "trials" in capsys.readouterr().err
 
+    def test_config_rejects_fractional_pulse_points(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"pulse_points": 100.5}))
+        code = main(["--config", str(path), "--axis", "bandwidth", "--grid", "0.1",
+                     "--outputs", "pulse_eta_S", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "pulse_points" in captured.err and captured.out == ""
+
 
 class TestNonFiniteValues:
     def test_nan_grid_value_is_a_config_error(self, capsys):
@@ -176,6 +185,14 @@ class TestNonFiniteValues:
                      "--format", "jsonl", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "jsonl" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_jsonl_error_names_row_and_column(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        code = main(["--axis", "kappa_ratio", "--grid", "5,13,inf", "--c", "0.25",
+                     "--format", "jsonl", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "row 3, column value: inf is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
 

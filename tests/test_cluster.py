@@ -76,6 +76,20 @@ class TestCanonicalCluster:
             canonical_cluster(17)
 
 
+def bit_matrix_cluster(n):
+    """The bit-matrix expansion canonical_cluster used before its XOR fold."""
+    idx = np.arange(2 ** n, dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    adjacent = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
+    amps = np.where(adjacent % 2 == 0, 1.0, -1.0) / 2 ** (n / 2)
+    return amps.astype(complex)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_canonical_cluster_matches_bit_matrix_expansion(n):
+    assert np.array_equal(canonical_cluster(n).amps, bit_matrix_cluster(n))
+
+
 class TestGrow:
     @pytest.mark.parametrize("branch", [EVEN, ODD])
     def test_single_step_from_one_spin(self, branch):

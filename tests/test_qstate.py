@@ -271,3 +271,109 @@ class TestValidation:
     def test_register_cap(self):
         with pytest.raises(ValueError):
             StateVector(17, np.zeros(2 ** 17, complex))
+
+
+GATE_MATRICES = {"H": np.array([[1, 1], [1, -1]]) * SQRT_HALF,
+                 "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+
+
+def product_state(rng, part, n):
+    """(input, a, b): a random product of `a` on qubits `part` (in that
+    order) and `b` on the remaining qubits (ascending)."""
+    a = random_state(rng, len(part))
+    b = random_state(rng, n - len(part))
+    rest = [q for q in range(n) if q not in part]
+    # tensor(a, b) holds qubit part[k] at position k; put it back at part[k]
+    return permute(tensor(a, b), np.argsort(list(part) + rest)), a, b
+
+
+def forbid_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("split fell back to the SVD on a product cut")
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+class TestWideRegisters:
+    N = 10
+
+    @pytest.mark.parametrize("gate", ["H", "X", "Z"])
+    def test_apply_1q_on_every_qubit_against_dense_kron(self, gate):
+        # qubits 0-3 leave a trailing axis of >= 64 amplitudes, 4-9 a shorter one
+        state = random_state(np.random.default_rng(41), self.N)
+        for q in range(self.N):
+            dense = np.kron(np.kron(np.eye(2 ** q), GATE_MATRICES[gate]),
+                            np.eye(2 ** (self.N - q - 1)))
+            np.testing.assert_allclose(apply_1q(state, q, gate).amps, dense @ state.amps,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("q1, q2", [(0, 9), (8, 9), (9, 8), (3, 7)])
+    @pytest.mark.parametrize("outcome", [Parity.EVEN, Parity.ODD])
+    def test_project_parity_against_dense_signed_projector(self, q1, q2, outcome):
+        state = random_state(np.random.default_rng(43), self.N)
+        raw = dense_parity_matrix(self.N, q1, q2, outcome) @ state.amps
+        prob_expected = float(np.vdot(raw, raw).real)
+        projected, prob = project_parity(state, q1, q2, outcome)
+        assert prob == pytest.approx(prob_expected, rel=1e-12)
+        np.testing.assert_allclose(projected.amps, raw / math.sqrt(prob_expected),
+                                   rtol=0, atol=1e-14)
+
+    def test_tensor_equals_kron_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        for na, nb in ((1, 1), (1, 9), (9, 1), (4, 6), (8, 8)):
+            a, b = random_state(rng, na), random_state(rng, nb)
+            assert np.array_equal(tensor(a, b).amps, np.kron(a.amps, b.amps))
+
+    def test_tensor_and_split_shortcut_leave_inputs_untouched(self, monkeypatch):
+        forbid_svd(monkeypatch)
+        rng = np.random.default_rng(47)
+        a, b = random_state(rng, 3), random_state(rng, 4)
+        state, _, _ = product_state(rng, [5, 1, 2], 7)
+        before = [x.amps.copy() for x in (a, b, state)]
+        tensor(a, b)
+        split(state, [5, 1, 2])
+        for x, saved in zip((a, b, state), before):
+            assert np.array_equal(x.amps, saved)
+
+
+def schmidt_pair_state(rng, eps, k=3, m=4):
+    """sqrt(1 - eps)|a0 b0> + sqrt(eps)|a1 b1> in random local bases, so
+    that 1 - sigma_1**2 = eps across the cut (first k qubits | last m)."""
+    def basis(dim):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return q[:, 0], q[:, 1]
+    a0, a1 = basis(2 ** k)
+    b0, b1 = basis(2 ** m)
+    amps = math.sqrt(1 - eps) * np.kron(a0, b0) + math.sqrt(eps) * np.kron(a1, b1)
+    return StateVector(k + m, amps), a0, b0
+
+
+class TestSplitShortcut:
+    def test_cut_just_above_tolerance_is_entangled(self):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            state, _, _ = schmidt_pair_state(rng, 1e-9)
+            with pytest.raises(EntangledCutError):
+                split(state, [0, 1, 2])
+
+    def test_cut_just_below_tolerance_splits(self):
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            state, a0, b0 = schmidt_pair_state(rng, 1e-11)
+            sub, rest = split(state, [0, 1, 2])
+            assert fidelity(sub, StateVector(3, a0)) == pytest.approx(1.0, abs=1e-10)
+            assert fidelity(rest, StateVector(4, b0)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_product_cuts_take_the_shortcut_and_rebuild_the_input(self, monkeypatch):
+        forbid_svd(monkeypatch)
+        rng = np.random.default_rng(55)
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            size = int(rng.integers(1, n))
+            part = [int(q) for q in rng.permutation(n)[:size]]
+            state, a, b = product_state(rng, part, n)
+            sub, rest = split(state, part)
+            assert fidelity(sub, a) >= 1 - 1e-12
+            assert fidelity(rest, b) >= 1 - 1e-12
+            remainder = [q for q in range(n) if q not in part]
+            rebuilt = permute(tensor(sub, rest), np.argsort(part + remainder))
+            assert fidelity(rebuilt, state) >= 1 - 1e-12
