@@ -28,6 +28,17 @@ spins; each end recovers by the measure-and-correct rule (for N_1, the
 mirror image: measure it and apply Z to N_2 on the down outcome), leaving
 chains of lengths m-1 and n-1.
 
+A failure leaves every spin it takes out of the chain in a product state
+with the rest: a measured spin is a Z eigenstate, and a fresh spin that no
+parity projection touched has seen only dephasing Z flips, so it is
+(up - down) or (up + down) over sqrt(2).  Both failure paths therefore
+``split`` those spins off at once (the rank-1 shortcut always accepts such
+a cut, so no SVD runs) and renumber the remaining qubits in order.  A chain
+grown from ``new_chain`` thus lives in a register of its own length, plus
+the fresh spin during a growth step.  Qubits a caller put into a register
+beyond the chain stay.  A register holds at least one qubit, so a chain
+that a failure empties keeps its measured spin when nothing else is left.
+
 ``canonical_cluster`` builds the reference state by direct expansion and
 is the oracle every grow/connect path is checked against.
 
@@ -40,6 +51,7 @@ lengths with runs drawn by ``gate.sample_runs`` and builds no register;
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -64,8 +76,10 @@ class GrowthStrategy(enum.Enum):
 class ChainState:
     """A register plus the ordered qubit labels that form the chain.
 
-    The register may hold extra qubits (measured-out remnants, stale fresh
-    spins); only ``labels`` are part of the chain.
+    ``grow_chain`` and ``connect_chains`` keep a register down to its
+    chain plus whatever extra qubits the caller put in; a chain built from
+    ``new_chain`` has labels ``range(length)``.  An emptied chain with no
+    such extras keeps its last measured spin, as a register is never empty.
     """
 
     register: StateVector
@@ -111,11 +125,13 @@ def add_fresh(chain: ChainState) -> tuple[ChainState, int]:
             chain.register.n)
 
 
+@functools.lru_cache(maxsize=MAX_QUBITS)
 def canonical_cluster(n: int) -> StateVector:
     """The 1D cluster state of n spins, by direct expansion.
 
     Basis amplitudes are (-1)**(number of adjacent down-down pairs),
-    normalized; the oracle for all growth and connection tests.
+    normalized; the oracle for all growth and connection tests.  Built
+    once per n and shared, so its amplitudes are read-only.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"cluster size must be in [1, {MAX_QUBITS}]")
@@ -125,8 +141,9 @@ def canonical_cluster(n: int) -> StateVector:
     pairs = idx & (idx >> 1)
     for shift in (8, 4, 2, 1):
         pairs ^= pairs >> shift
-    amps = (1.0 - 2.0 * (pairs & 1)) / 2 ** (n / 2)
-    return StateVector(n, amps.astype(complex))
+    amps = ((1.0 - 2.0 * (pairs & 1)) / 2 ** (n / 2)).astype(complex)
+    amps.flags.writeable = False
+    return StateVector(n, amps)
 
 
 def chain_fidelity(chain: ChainState) -> float:
@@ -147,6 +164,20 @@ def _measure(state: StateVector, qubit: int, rng,
     return measure_z(state, qubit, rng)
 
 
+def _drop(state: StateVector, labels: tuple[int, ...],
+          dead: tuple[int, ...]) -> ChainState:
+    """The chain ``labels`` over ``state`` with the product qubits ``dead``
+    split off and the rest renumbered; when ``dead`` is the whole
+    register, its first qubit stays."""
+    if len(dead) == state.n:
+        dead = dead[1:]
+    if not dead:
+        return ChainState(state, labels)
+    _, rest = split(state, dead)
+    kept = [q for q in range(state.n) if q not in dead]
+    return ChainState(rest, tuple(kept.index(q) for q in labels))
+
+
 def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
                rng: Optional[np.random.Generator] = None, *,
                force: Optional[GateOutcome] = None,
@@ -154,8 +185,8 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     """Attempt to extend the chain by the fresh spin.
 
     On failure the chain shrinks by one (a length-1 chain becomes the
-    empty chain); the measured spin and the untouched fresh spin stay in
-    the register as non-chain qubits.
+    empty chain); the measured spin and the untouched fresh spin are split
+    off the register and the remaining qubits renumbered in order.
     """
     if chain.length == 0:
         raise ValueError("cannot grow an empty chain")
@@ -173,7 +204,7 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     labels = chain.labels[:-1]
     if outcome is SpinOutcome.DOWN and labels:
         state = apply_1q(state, labels[-1], "Z")
-    return GrowResult(ChainState(state, labels), result)
+    return GrowResult(_drop(state, labels, (last, fresh)), result)
 
 
 def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
@@ -186,7 +217,8 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
 
     Success yields a chain of length m + n.  Failure measures out both
     boundary spins (with the per-end Z feedback) and returns the two
-    shortened chains, each over its own register.
+    shortened chains, each over its own register without its measured
+    boundary spin.
     """
     if m_chain.length == 0 or n_chain.length == 0:
         raise ValueError("cannot connect an empty chain")
@@ -214,8 +246,8 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
     if out_n is SpinOutcome.DOWN and len(n_labels) >= 2:
         state = apply_1q(state, n_labels[1], "Z")
     m_register, n_register = split(state, tuple(range(offset)))
-    part_m = ChainState(m_register, m_labels[:-1])
-    part_n = ChainState(n_register, n_chain.labels[1:])
+    part_m = _drop(m_register, m_labels[:-1], (m_last,))
+    part_n = _drop(n_register, n_chain.labels[1:], (n_chain.labels[0],))
     return ConnectResult(None, (part_m, part_n), result)
 
 
@@ -253,7 +285,8 @@ class FactoryStats:
         return float(np.var(self.gate_ops, ddof=1)) if self.trials > 1 else 0.0
 
     def to_table(self):
-        """One-row table in the CLI's CSV schema."""
+        """The counts as a one-row ``sweep.Table``, which ``sweep.emit``
+        writes as CSV, JSON lines or SVG."""
         from .sweep import Table, quantize
         columns = ("strategy", "target_length", "trials", "mean_photons",
                    "var_photons", "mean_gate_ops", "var_gate_ops")

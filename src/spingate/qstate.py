@@ -116,14 +116,26 @@ class StateVector:
 
     @staticmethod
     def plus() -> "StateVector":
-        return StateVector.single(_SQRT_HALF, _SQRT_HALF)
+        """(up + down)/sqrt(2): one shared value whose amplitudes are read-only."""
+        return _PLUS
 
     @staticmethod
     def minus() -> "StateVector":
-        return StateVector.single(_SQRT_HALF, -_SQRT_HALF)
+        """(up - down)/sqrt(2): one shared value whose amplitudes are read-only."""
+        return _MINUS
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+def _frozen(n: int, amps: np.ndarray) -> StateVector:
+    """A state whose amplitude array rejects writes, safe to hand out many times."""
+    amps.flags.writeable = False
+    return StateVector(n, amps)
+
+
+_PLUS = _frozen(1, np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex))
+_MINUS = _frozen(1, np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex))
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:

@@ -20,7 +20,7 @@ from spingate.cluster import (ChainState, GrowthStrategy, add_fresh,
                               simulate_factory)
 from spingate.gate import GateConfig, GateOutcome, analytic_etas, run_moments
 from spingate.qstate import (SpinOutcome, StateVector, apply_1q, fidelity,
-                             subsystem_fidelity)
+                             subsystem_fidelity, tensor)
 
 IDEAL = GateConfig(pair=ReflectionPair.ideal())
 EVEN, ODD, FAILURE = GateOutcome.EVEN, GateOutcome.ODD, GateOutcome.FAILURE
@@ -420,3 +420,122 @@ class TestFactoryCountsOnly:
         stats = simulate_factory(8, config, strategy, np.random.default_rng(5), trials=50)
         assert np.all(stats.gate_ops >= 7)
         assert np.all(stats.photons >= stats.gate_ops)
+
+
+# --- failures split off the spins they leave behind ------------------------------
+
+# per run: success 0.62, loss 0.38
+LOSSY = ReflectionPair.from_coefficients(-0.6, 0.95)
+# per attempt: success 0.12, recycle 0.30, loss 0.58
+RECYCLING = ReflectionPair.from_coefficients(0.2, 0.9)
+
+
+def assert_only_chain(chain):
+    """The register is the chain, labelled in order; an emptied chain keeps
+    one spin, the one measured last, in a Z eigenstate."""
+    assert chain.labels == tuple(range(chain.length))
+    assert chain.register.n == max(chain.length, 1)
+    if chain.length == 0:
+        assert max(abs(chain.register.amps)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRegisterHoldsOnlyTheChain:
+    @pytest.mark.parametrize("dephasing", [0.0, 0.2])
+    def test_sampled_growth_to_fourteen_spins(self, dephasing):
+        config = GateConfig(pair=LOSSY, dephasing_per_attempt=dephasing)
+        rng = np.random.default_rng(0)  # empties the chain at least once either way
+        chain, failures, emptied = new_chain(), 0, 0
+        while chain.length < 14:
+            extended, fresh = add_fresh(chain)
+            result = grow_chain(extended, fresh, config, rng)
+            failures += result.gate.outcome is FAILURE
+            chain = result.chain
+            assert_only_chain(chain)
+            if chain.length == 0:
+                chain, emptied = new_chain(), emptied + 1
+            assert chain.register.n == chain.length
+            if dephasing == 0.0:
+                assert chain_fidelity(chain) == pytest.approx(1.0, abs=1e-10)
+        assert failures >= 10 and emptied >= 1
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    @pytest.mark.parametrize("measured", [SpinOutcome.UP, SpinOutcome.DOWN])
+    def test_forced_grow_failure(self, length, measured):
+        extended, fresh = add_fresh(build_chain(length))
+        chain = grow_chain(extended, fresh, IDEAL, force=FAILURE,
+                           force_measure=measured).chain
+        assert_only_chain(chain)
+        assert chain.length == length - 1
+        if length == 1:
+            assert abs(chain.register.amps[measured]) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert chain_fidelity(chain) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("measured", list(itertools.product(
+        [SpinOutcome.UP, SpinOutcome.DOWN], repeat=2)))
+    def test_forced_connect_failure(self, m, n, measured):
+        parts = connect_chains(build_chain(m), build_chain(n), IDEAL,
+                               force=FAILURE, force_measure=measured).parts
+        for part, length in zip(parts, (m - 1, n - 1)):
+            assert_only_chain(part)
+            assert part.length == length
+            assert chain_fidelity(part) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("measured", [SpinOutcome.UP, SpinOutcome.DOWN])
+    def test_a_callers_extra_qubit_survives_a_failed_grow(self, measured):
+        extra = StateVector.single(0.6, 0.8j)
+        chain = build_chain(3)
+        chain = ChainState(tensor(extra, chain.register), (1, 2, 3))
+        extended, fresh = add_fresh(chain)
+        shrunk = grow_chain(extended, fresh, IDEAL, force=FAILURE,
+                            force_measure=measured).chain
+        assert shrunk.register.n == 3
+        assert shrunk.labels == (1, 2)
+        assert chain_fidelity(shrunk) == pytest.approx(1.0, abs=1e-10)
+        assert subsystem_fidelity(shrunk.register, (0,), extra) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_a_failed_grow_draws_attempts_plus_one_uniforms(self):
+        config = GateConfig(pair=RECYCLING)
+        extended, fresh = add_fresh(build_chain(3))
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            result = grow_chain(extended, fresh, config, rng)
+            if result.gate.outcome is not FAILURE:
+                continue
+            reference = np.random.default_rng(seed)
+            reference.random(result.gate.attempts + 1)  # the runs, then the measurement
+            assert rng.bit_generator.state == reference.bit_generator.state
+            seen.add(min(result.gate.attempts, 2))
+        assert seen == {1, 2}
+
+
+class TestSharedReadOnlyStates:
+    @pytest.mark.parametrize("state", [StateVector.plus(), StateVector.minus(),
+                                       canonical_cluster(1), canonical_cluster(3)])
+    def test_amplitudes_reject_writes(self, state):
+        assert not state.amps.flags.writeable
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0
+
+    def test_each_is_built_once(self):
+        assert StateVector.plus() is StateVector.plus()
+        assert StateVector.minus() is StateVector.minus()
+        assert canonical_cluster(5) is canonical_cluster(5)
+
+    def test_kernels_accept_them(self):
+        plus, minus = StateVector.plus(), StateVector.minus()
+        np.testing.assert_allclose(tensor(plus, minus).amps,
+                                   np.array([1, -1, 1, -1]) / 2, atol=1e-15)
+        np.testing.assert_allclose(apply_1q(plus, 0, "H").amps, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(apply_1q(minus, 0, "X").amps, -minus.amps, atol=1e-15)
+        np.testing.assert_allclose(apply_1q(plus, 0, "Z").amps, minus.amps, atol=1e-15)
+        cluster = canonical_cluster(3)
+        # X on the middle spin times Z on its neighbours stabilizes the chain
+        acted = apply_1q(apply_1q(apply_1q(cluster, 0, "Z"), 1, "X"), 2, "Z")
+        np.testing.assert_allclose(acted.amps, cluster.amps, atol=1e-15)
+        np.testing.assert_allclose(tensor(cluster, minus).amps,
+                                   np.multiply.outer(cluster.amps, minus.amps).ravel(),
+                                   atol=1e-15)
