@@ -59,8 +59,8 @@ from typing import Optional
 import numpy as np
 
 from .gate import GateConfig, GateOutcome, GateResult, RunOutcome, run_gate, sample_runs
-from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, apply_1q, collapse_z,
-                     measure_z, split, subsystem_fidelity, tensor)
+from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _frozen, apply_1q,
+                     collapse_z, measure_z, split, subsystem_fidelity, tensor)
 from .qstate import permute  # noqa: F401  unused; the benchmark tracer wraps cluster.permute
 
 MAX_FACTORY_TARGET = 10
@@ -141,9 +141,7 @@ def canonical_cluster(n: int) -> StateVector:
     pairs = idx & (idx >> 1)
     for shift in (8, 4, 2, 1):
         pairs ^= pairs >> shift
-    amps = ((1.0 - 2.0 * (pairs & 1)) / 2 ** (n / 2)).astype(complex)
-    amps.flags.writeable = False
-    return StateVector(n, amps)
+    return _frozen(n, ((1.0 - 2.0 * (pairs & 1)) / 2 ** (n / 2)).astype(complex))
 
 
 def chain_fidelity(chain: ChainState) -> float:
@@ -187,6 +185,11 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     On failure the chain shrinks by one (a length-1 chain becomes the
     empty chain); the measured spin and the untouched fresh spin are split
     off the register and the remaining qubits renumbered in order.
+
+    ``fresh`` must be in a product state with the rest of the register, as
+    ``add_fresh`` leaves it: a success needs that for the result to be a
+    cluster, and a failure that splits off a fresh spin entangled with
+    another qubit raises ``EntangledCutError``.
     """
     if chain.length == 0:
         raise ValueError("cannot grow an empty chain")

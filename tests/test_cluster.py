@@ -19,8 +19,8 @@ from spingate.cluster import (ChainState, GrowthStrategy, add_fresh,
                               expected_gate_ops, grow_chain, new_chain,
                               simulate_factory)
 from spingate.gate import GateConfig, GateOutcome, analytic_etas, run_moments
-from spingate.qstate import (SpinOutcome, StateVector, apply_1q, fidelity,
-                             subsystem_fidelity, tensor)
+from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, apply_1q,
+                             fidelity, subsystem_fidelity, tensor)
 
 IDEAL = GateConfig(pair=ReflectionPair.ideal())
 EVEN, ODD, FAILURE = GateOutcome.EVEN, GateOutcome.ODD, GateOutcome.FAILURE
@@ -495,6 +495,14 @@ class TestRegisterHoldsOnlyTheChain:
         assert chain_fidelity(shrunk) == pytest.approx(1.0, abs=1e-10)
         assert subsystem_fidelity(shrunk.register, (0,), extra) == pytest.approx(
             1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("measured", [SpinOutcome.UP, SpinOutcome.DOWN])
+    def test_a_failed_grow_rejects_an_entangled_fresh_qubit(self, measured):
+        bell = StateVector.from_amplitudes([math.sqrt(0.5), 0, 0, math.sqrt(0.5)])
+        chain = build_chain(3)
+        chain = ChainState(tensor(bell, chain.register), (2, 3, 4))
+        with pytest.raises(EntangledCutError):
+            grow_chain(chain, 0, IDEAL, force=FAILURE, force_measure=measured)
 
     def test_a_failed_grow_draws_attempts_plus_one_uniforms(self):
         config = GateConfig(pair=RECYCLING)
