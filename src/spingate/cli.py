@@ -3,11 +3,15 @@
 Configuration comes from an optional JSON file (--config) mirroring the
 sweep fields, with any individual flag overriding the file.  Exit codes:
 0 success, 2 invalid configuration, 3 output I/O error.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path ('-' for stdout); defaults to "
                              f"<axis>_sweep.<ext> under ${ENV_OUT_DIR} or the cwd")
     return parser
+
+
+_parser = functools.cache(build_parser)  # main's one parser, built on first use
 
 
 def _load_config(path: str) -> dict:
@@ -152,7 +159,7 @@ def _assemble(args: argparse.Namespace):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec, fmt, out = _assemble(args)
     except ConfigError as exc:

@@ -60,10 +60,9 @@ from .qstate import Parity, StateVector, apply_1q, parity_weights, project_parit
 
 _SUM_ATOL = 1e-12
 _DEGENERATE_ATOL = 1e-15
-# sample_runs draws at least this many uniforms at a time: few enough to
-# stay small in memory, enough that a row of strongly recycling runs
-# needs only a handful of numpy passes
-_DRAW_BLOCK = 4096
+# sample_runs draws at most max(runs left, this many) uniforms at a time,
+# so a row of long recycling runs stays small in memory
+_MAX_BLOCK = 1 << 16
 
 
 def check_count(name: str, value, minimum: int) -> None:
@@ -257,36 +256,64 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
     uniform per attempt and splits it at the same thresholds as
     ``run_gate``, and gives back the draws past the end of the n-th run,
     so with dephasing off it yields run for run what n ``run_gate`` calls
-    would and leaves ``rng`` in the same state.  Dephasing flips phases
-    only: it changes no outcome, and this draws nothing for it.
+    would and leaves ``rng`` in the same state, for any bit generator.
+    Dephasing flips phases only: it changes no outcome, and this draws
+    nothing for it.
+
+    Uniforms are drawn in blocks sized from ``run_moments``' mean photon
+    count: the first holds a little less than n runs need, each later one
+    a little more than the runs left need, and none more than
+    max(runs left, 2**16).  Giving the unused draws back restores the
+    generator to where it stood before the last block and draws again
+    only what the runs used of that block, which the sizing keeps small.
     """
     p_unit, p_recycle, _ = _attempt_probabilities(config)
+    _, mean_attempts = run_moments(config)
     cap = config.max_recycles + 1
     outcome = np.empty(n, dtype=np.int8)
     attempts = np.empty(n, dtype=np.int64)
     done = spent = 0  # runs finished; recycles already spent by the open run
+    margin = 3.0 * math.sqrt(n)  # 3 standard deviations of n runs' photons, or more
+    wanted = n - margin if n > margin else n + margin  # runs the next block aims at
     while done < n:
-        saved = rng.bit_generator.state
-        u = rng.random(max(n - done, _DRAW_BLOCK))
-        recycled = (u >= p_unit) & (u < p_unit + p_recycle)
-        position = np.arange(u.size)
-        # a run's attempts restart after each success or loss click ...
-        clicked = np.maximum.accumulate(np.where(recycled, -1, position))
-        previous = np.concatenate(([-1], clicked[:-1]))
-        since = position - previous - 1
-        since[previous < 0] += spent
-        # ... and after every cap-many recycles in a row
-        attempt = since % cap + 1
-        ended = np.flatnonzero(~recycled | (attempt == cap))[:n - done]
-        outcome[done:done + ended.size] = np.where(
-            recycled[ended], RunOutcome.CAP,
-            np.where(u[ended] < p_unit, RunOutcome.SUCCESS, RunOutcome.LOSS))
-        attempts[done:done + ended.size] = attempt[ended]
-        done += ended.size
-        spent = 0 if ended.size and ended[-1] == u.size - 1 else int(attempt[-1])
-    if n:  # replay the block up to the end of run n: the rest stays undrawn
-        rng.bit_generator.state = saved
-        rng.random(ended[-1] + 1)
+        block = min(max(math.ceil(wanted * mean_attempts), 1), max(n - done, _MAX_BLOCK))
+        saved, first = rng.bit_generator.state, done
+        u = rng.random(block)
+        # each uniform is compared once; everything after works per run
+        clicks = np.flatnonzero((u < p_unit) | (u >= p_unit + p_recycle))
+        ends = u[clicks] >= p_unit  # as an outcome code: SUCCESS is 0, LOSS 1
+        # each click ends a run of (recycles since the last click) + 1
+        # photons, the first one counting those spent before this block ...
+        steps = clicks.copy()
+        steps[1:] -= clicks[:-1]
+        steps[:1] += spent + 1
+        if clicks.size and steps.max() > cap:
+            # ... unless the cap comes first: every cap-many recycles in a
+            # row end a CAP run, and the click's own run gets the rest
+            capped = (steps - 1) // cap
+            at = np.cumsum(capped + 1) - 1
+            codes = np.full(at[-1] + 1, RunOutcome.CAP, dtype=np.int8)
+            codes[at] = ends
+            photons = np.full(at[-1] + 1, cap, dtype=np.int64)
+            photons[at] = steps - capped * cap
+            ends, steps = codes, photons
+        take = min(steps.size, n - done)
+        outcome[done:done + take] = ends[:take]
+        attempts[done:done + take] = steps[:take]
+        done += take
+        # the recycles after the last click: whole CAP runs, then the open run
+        tail = block - 1 - int(clicks[-1]) if clicks.size else spent + block
+        take = min(tail // cap, n - done)
+        outcome[done:done + take] = RunOutcome.CAP
+        attempts[done:done + take] = cap
+        done += take
+        if done == n:  # give back the draws past the end of run n
+            used = int(attempts[first:].sum()) - spent
+            if used < block:
+                rng.bit_generator.state = saved
+                rng.random(used)
+        spent = tail % cap
+        wanted = (n - done) + 3.0 * math.sqrt(n - done)
     return GateRuns(outcome, attempts)
 
 

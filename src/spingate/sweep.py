@@ -55,6 +55,8 @@ class SweepAxis(enum.Enum):
 OUTPUT_COLUMNS = ("eta_H", "eta_V", "eta_S", "mc_eta_S", "mc_stderr",
                   "pulse_eta_S", "mean_attempts")
 FORMATS = ("csv", "jsonl", "svg")
+# a start:stop:step grid of more points is refused before it is built
+MAX_GRID_POINTS = 10 ** 6
 _FLAG_DEGENERATE = "eta_v_degenerate"
 
 
@@ -151,7 +153,10 @@ def grid_from_string(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_GRID_POINTS:  # an infinite span too; NaN fails below
+            raise ValueError(f"range grid has more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         if count < 1:
             raise ValueError("empty grid range")
         return tuple(start + i * step for i in range(count))

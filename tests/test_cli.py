@@ -92,6 +92,11 @@ class TestExitCodes:
     def test_bad_grid(self, capsys):
         assert main(["--axis", "kappa_ratio", "--grid", "3,2,1"]) == EXIT_CONFIG
 
+    def test_huge_range_grid_is_a_config_error(self, capsys):
+        assert main(["--axis", "kappa_ratio", "--grid", "0:1:1e-12", "--out", "-"]) \
+            == EXIT_CONFIG
+        assert "bad grid: range grid has more than" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"axis": "kappa_ratio", "grid": [1, 2],
@@ -205,3 +210,48 @@ def test_cli_import_starts_no_process_machinery():
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": source_root})
     assert result.stdout.strip() == "[]"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; later calls must not see earlier ones."""
+
+    MC = ["--axis", "detuning", "--grid", "0,2", "--c", "1", "--trials", "300",
+          "--outputs", "eta_S,mc_eta_S,mean_attempts", "--out", "-"]
+    ARGVS = [
+        ["--axis", "kappa_ratio", "--grid", "1,2", "--format", "xml"],  # argparse: exit 2
+        ["--axis", "kappa_ratio", "--grid", "1:2:0", "--out", "-"],     # ConfigError: exit 2
+        MC + ["--seed", "3"],
+        MC,  # the default seed, not the 3 of the call before
+    ]
+
+    @staticmethod
+    def fresh_process(argv, env):
+        result = subprocess.run([sys.executable, "-m", "spingate.cli", *argv],
+                                capture_output=True, text=True, env=env)
+        return result.returncode, result.stdout, result.stderr
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
+        source_root = str(Path(spingate.__file__).resolve().parents[1])
+        return {**os.environ, "PYTHONPATH": source_root}
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, env):
+        seen = [self.in_process(argv, capsys) for argv in self.ARGVS]
+        assert [code for code, _, _ in seen] == [2, EXIT_CONFIG, EXIT_OK, EXIT_OK]
+        assert seen[2][1] != seen[3][1]
+        assert seen == [self.fresh_process(argv, env) for argv in self.ARGVS]
+
+    def test_help_matches_a_fresh_process(self, capsys, env):
+        seen = self.in_process(["--help"], capsys)
+        assert seen[0] == 0 and seen[1].startswith("usage: spingate")
+        assert seen == self.fresh_process(["--help"], env)

@@ -146,6 +146,13 @@ class TestSingleShotDistribution:
             single_shot_distribution(config, bad, 0, 1)
 
 
+    def test_rejects_unnormalized_two_qubit_state(self):
+        # valid qubits, so only the normalization check can refuse it
+        config = GateConfig(pair=ReflectionPair.ideal())
+        bad = StateVector(2, np.full(4, 0.6, complex))
+        with pytest.raises(ValueError, match="normalized"):
+            single_shot_distribution(config, bad, 0, 1)
+
 class TestRunGate:
     def test_ideal_gate_succeeds_first_try(self):
         config = GateConfig(pair=ReflectionPair.ideal())

@@ -166,3 +166,82 @@ class TestSampleRunsIsRunGate:
             assert row["mc_eta_S"] == float(format(successes / base.trials, ".9g"))
             assert row["mean_attempts"] == \
                 float(format(sum(r.attempts for r in runs) / base.trials, ".9g"))
+
+
+class RecordingGenerator:
+    """A ``Generator`` stand-in that records the size of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def run_gate_loop(config, n, rng):
+    register = tensor(StateVector.plus(), StateVector.plus())
+    return [run_gate(config, register, 0, 1, rng) for _ in range(n)]
+
+
+def assert_same_runs(runs, reference):
+    outcome, attempts = runs
+    assert (outcome == RunOutcome.SUCCESS).tolist() == \
+        [r.outcome is not GateOutcome.FAILURE for r in reference]
+    assert attempts.tolist() == [r.attempts for r in reference]
+
+
+def straddles_a_block_boundary(runs, sizes):
+    """Whether a CAP run begins in one drawn block and ends in a later one.
+
+    The block boundaries are the running totals of every draw but the last,
+    which is either the last block or the replay of its used part.
+    """
+    ends = np.cumsum(runs.attempts)
+    for boundary in np.cumsum(sizes[:-1]):
+        j = int(np.searchsorted(ends, boundary))
+        if j < ends.size and ends[j] != boundary and runs.outcome[j] == RunOutcome.CAP:
+            return True
+    return False
+
+
+class TestSampleRunsBlocksAreRunGate:
+    """Long rows span several drawn blocks; the sampler must still equal a
+    ``run_gate`` loop run for run and leave the generator where it does."""
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    @pytest.mark.parametrize("config", [
+        GateConfig(pair=detuned_cavity()),
+        GateConfig(pair=MIXED, max_recycles=0),
+    ], ids=["detuned", "no-recycles"])
+    def test_long_rows(self, config, n):
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        assert_same_runs(sample_runs(config, n, ours), run_gate_loop(config, n, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_cap_runs_that_straddle_a_block_boundary(self):
+        # eta_V = 0.98 and a cap of 8 photons: most photons belong to CAP runs
+        config = GateConfig(pair=ReflectionPair.from_coefficients(1.0, 0.98),
+                            max_recycles=7)
+        straddled = []
+        for n in (1200, 5000):
+            for seed in (0, 1):
+                ours = RecordingGenerator(np.random.default_rng(seed))
+                theirs = np.random.default_rng(seed)
+                runs = sample_runs(config, n, ours)
+                assert_same_runs(runs, run_gate_loop(config, n, theirs))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                straddled.append(straddles_a_block_boundary(runs, ours.sizes))
+        assert any(straddled)  # the case this test is about did occur
+
+    def test_any_bit_generator(self):
+        config = GateConfig(pair=detuned_cavity())
+        ours = np.random.Generator(np.random.MT19937(5))
+        theirs = np.random.Generator(np.random.MT19937(5))
+        assert_same_runs(sample_runs(config, 1200, ours), run_gate_loop(config, 1200, theirs))
+        assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+        assert ours.random() == theirs.random()

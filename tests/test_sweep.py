@@ -243,6 +243,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             grid_from_string("1:2:3:4")
 
+    def test_huge_range_grid_is_refused_before_it_is_built(self, monkeypatch):
+        for text in ("0:1:1e-12", "0:inf:1"):
+            with pytest.raises(ValueError, match="more than 1000000 points"):
+                grid_from_string(text)
+        monkeypatch.setattr(spingate.sweep, "MAX_GRID_POINTS", 10)
+        assert len(grid_from_string("1:10:1")) == 10
+        with pytest.raises(ValueError, match="more than 10 points"):
+            grid_from_string("1:11:1")
+
     def test_nan_grid_rejected_inf_kept(self):
         for grid in ((math.nan, 0.1), (0.1, math.nan), (math.nan,)):
             with pytest.raises(ValueError, match="NaN"):
