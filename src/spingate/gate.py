@@ -273,7 +273,9 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
     outcome = np.empty(n, dtype=np.int8)
     attempts = np.empty(n, dtype=np.int64)
     done = spent = 0  # runs finished; recycles already spent by the open run
-    margin = 3.0 * math.sqrt(n)  # 3 standard deviations of n runs' photons, or more
+    # in runs: 3 standard deviations of n runs' photon total, or more, as a
+    # run's spread stays below its mean
+    margin = 3.0 * math.sqrt(n)
     wanted = n - margin if n > margin else n + margin  # runs the next block aims at
     while done < n:
         block = min(max(math.ceil(wanted * mean_attempts), 1), max(n - done, _MAX_BLOCK))
