@@ -1,7 +1,12 @@
 """Command-line sweep driver.
 
 Configuration comes from an optional JSON file (--config) mirroring the
-sweep fields, with any individual flag overriding the file.  Exit codes:
+sweep fields, with any individual flag overriding the file.  Each flag's
+argparse destination is its config key (``--c`` sets ``cooperativity``,
+``--detector-eff`` sets ``detector_efficiency``, ``--kappa-ratio`` sets
+``kappa_ratio``, ...), and the parser records only the flags given, so
+flags and file merge in one mapping.  ``pulse_center`` and
+``pulse_points`` have no flag: only a config file sets them.  Exit codes:
 0 success, 2 invalid configuration, 3 output I/O error.
 
 The argument parser is built once per process, on the first ``main``
@@ -17,27 +22,13 @@ import os
 import sys
 from dataclasses import fields
 
-from .sweep import (FORMATS, OUTPUT_COLUMNS, SweepAxis, SweepBaseline, SweepSpec,
-                    baseline_from_mapping, emit, grid_from_string, run_sweep)
+from .sweep import (FORMATS, OUTPUT_COLUMNS, SweepAxis, SweepBaseline, SweepSpec, emit,
+                    grid_from_string, run_sweep)
 
 ENV_OUT_DIR = "SPINGATE_OUT_DIR"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_BASELINE_FLAGS = {
-    "c": "cooperativity",
-    "kappa_ratio": "kappa_ratio",
-    "gamma": "gamma",
-    "detuning": "detuning",
-    "trion_offset": "trion_offset",
-    "eta_in": "eta_in",
-    "detector_eff": "detector_efficiency",
-    "dephasing": "dephasing",
-    "max_recycles": "max_recycles",
-    "bandwidth": "bandwidth",
-    "trials": "trials",
-}
 
 
 class ConfigError(ValueError):
@@ -46,7 +37,7 @@ class ConfigError(ValueError):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="spingate",
+        prog="spingate", argument_default=argparse.SUPPRESS,
         description="Sweep the heralded entangling gate efficiencies over one "
                     "parameter axis and write CSV, JSON-lines, or an SVG chart.")
     parser.add_argument("--config", metavar="FILE",
@@ -54,13 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--axis", choices=[a.value for a in SweepAxis])
     parser.add_argument("--grid", metavar="START:STOP:STEP",
                         help="grid as start:stop:step or comma-separated values")
-    parser.add_argument("--c", type=float, help="cooperativity")
+    parser.add_argument("--c", type=float, dest="cooperativity", metavar="C",
+                        help="cooperativity")
     parser.add_argument("--kappa-ratio", type=float, help="kappa / kappa_s")
     parser.add_argument("--gamma", type=float, help="emitter linewidth (units of kappa)")
     parser.add_argument("--detuning", type=float, help="omega_c - omega_probe")
     parser.add_argument("--trion-offset", type=float, help="omega_x - omega_c")
     parser.add_argument("--eta-in", type=float, help="input-coupling amplitude")
-    parser.add_argument("--detector-eff", type=float, help="detector efficiency")
+    parser.add_argument("--detector-eff", type=float, dest="detector_efficiency",
+                        metavar="DETECTOR_EFF", help="detector efficiency")
     parser.add_argument("--dephasing", type=float,
                         help="Z-error probability per attempt; no current output "
                              "column depends on it")
@@ -73,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="base seed; row i uses seed XOR i")
     parser.add_argument("--outputs", metavar="COLS",
                         help="comma-separated subset of " + ",".join(OUTPUT_COLUMNS))
-    parser.add_argument("--format", choices=FORMATS, dest="fmt")
+    parser.add_argument("--format", choices=FORMATS)
     parser.add_argument("--out", metavar="PATH",
                         help="output path ('-' for stdout); defaults to "
                              f"<axis>_sweep.<ext> under ${ENV_OUT_DIR} or the cwd")
@@ -96,25 +89,17 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _assemble(args: argparse.Namespace):
-    config = _load_config(args.config) if args.config else {}
+def _assemble(flags: dict):
+    path = flags.pop("config", None)
+    config = _load_config(path) if path else {}
     baseline_keys = {f.name for f in fields(SweepBaseline)}
-    spec_keys = {"axis", "grid", "outputs", "seed", "format", "out"}
-    unknown = set(config) - baseline_keys - spec_keys
+    unknown = set(config) - baseline_keys - {"axis", "grid", "outputs", "seed", "format", "out"}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    settings = {**config, **flags}
+    fixed = SweepBaseline(**{k: v for k, v in settings.items() if k in baseline_keys})
 
-    baseline_map = {k: config[k] for k in baseline_keys if k in config}
-    for flag, field in _BASELINE_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            baseline_map[field] = value
-    try:
-        fixed = baseline_from_mapping(baseline_map)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    axis_name = args.axis or config.get("axis")
+    axis_name = settings.get("axis")
     if axis_name is None:
         raise ConfigError("an axis is required (--axis or config 'axis')")
     try:
@@ -122,7 +107,7 @@ def _assemble(args: argparse.Namespace):
     except ValueError:
         raise ConfigError(f"unknown axis {axis_name!r}") from None
 
-    grid_value = args.grid if args.grid is not None else config.get("grid")
+    grid_value = settings.get("grid")
     if grid_value is None:
         raise ConfigError("a grid is required (--grid or config 'grid')")
     try:
@@ -133,36 +118,36 @@ def _assemble(args: argparse.Namespace):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
-    outputs_value = args.outputs if args.outputs is not None else config.get("outputs")
+    outputs_value = settings.get("outputs")
     if outputs_value is None:
         outputs = ("eta_H", "eta_V", "eta_S")
     elif isinstance(outputs_value, str):
         outputs = tuple(p.strip() for p in outputs_value.split(",") if p.strip())
-    else:
+    elif isinstance(outputs_value, list) and all(isinstance(c, str) for c in outputs_value):
         outputs = tuple(outputs_value)
+    else:
+        raise ConfigError("outputs must be a comma-separated string or a list of "
+                          f"column names, got {outputs_value!r}")
 
-    seed = args.seed if args.seed is not None else config.get("seed", 1)
-    try:
-        spec = SweepSpec(axis=axis, grid=grid, fixed=fixed, outputs=outputs, seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(axis=axis, grid=grid, fixed=fixed, outputs=outputs,
+                     seed=settings.get("seed", 1))
 
-    fmt = args.fmt or config.get("format", "csv")
+    fmt = settings.get("format", "csv")
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
-    out = args.out if args.out is not None else config.get("out")
+    out = settings.get("out")
     if out is None:
-        ext = "jsonl" if fmt == "jsonl" else fmt
-        out_dir = os.environ.get(ENV_OUT_DIR, ".")
-        out = os.path.join(out_dir, f"{axis.value}_sweep.{ext}")
+        out = os.path.join(os.environ.get(ENV_OUT_DIR, "."), f"{axis.value}_sweep.{fmt}")
+    elif not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     return spec, fmt, out
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec, fmt, out = _assemble(args)
-    except ConfigError as exc:
+        spec, fmt, out = _assemble(vars(args))
+    except ValueError as exc:  # a ConfigError, or a SweepBaseline or SweepSpec check
         print(f"spingate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

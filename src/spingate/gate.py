@@ -180,10 +180,15 @@ def analytic_etas(pair: ReflectionPair) -> Etas:
     The identity eta_S = eta_H / (1 - eta_V) holds exactly; raises
     DegenerateRecycleError when the denominator vanishes.
     """
-    eta_h = abs(pair.r1 - pair.r0) ** 2 / 4
-    eta_v = abs(pair.r1 + pair.r0) ** 2 / 4
+    return _recycled_etas(abs(pair.r1 - pair.r0) ** 2 / 4, abs(pair.r1 + pair.r0) ** 2 / 4)
+
+
+def _recycled_etas(eta_h: float, eta_v: float, name: str = "eta_V") -> Etas:
+    """Etas with eta_S = eta_H / (1 - eta_V), for monochromatic and for
+    pulse-averaged efficiencies alike; raises DegenerateRecycleError, with
+    ``name`` in its message, when eta_V reaches one."""
     if 1.0 - eta_v <= _DEGENERATE_ATOL:
-        raise DegenerateRecycleError("eta_V = 1: recycling never terminates")
+        raise DegenerateRecycleError(f"{name} = 1: recycling never terminates")
     return Etas(eta_h, eta_v, eta_h / (1.0 - eta_v))
 
 

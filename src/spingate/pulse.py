@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, reflection_spectrum
-from .gate import DegenerateRecycleError, Etas, _DEGENERATE_ATOL
+from .gate import Etas, _recycled_etas
 from .qstate import Parity, StateVector, ZeroProbabilityError, project_parity
 
 QUADRATURE_TOL = 1e-6
@@ -160,12 +160,6 @@ def _averaged_pair(params: CavityParams, spec: PulseSpec, n: int) -> tuple[float
     return eta_h, eta_v
 
 
-def _averaged_etas(eta_h: float, eta_v: float) -> Etas:
-    if 1.0 - eta_v <= _DEGENERATE_ATOL:
-        raise DegenerateRecycleError("averaged eta_V = 1: recycling never terminates")
-    return Etas(eta_h, eta_v, eta_h / (1.0 - eta_v))
-
-
 def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas | None:
     """Exact frequency-averaged efficiencies of the gate for a Gaussian pulse.
 
@@ -198,7 +192,7 @@ def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas | None:
         reflected = np.conj(c) + inverse_gaps @ np.conj(a)
         return abs(c) ** 2 + 2.0 * float(np.real(np.sum(a * reflected * mean)))
 
-    return _averaged_etas(mean_abs2(0.0, a_d), mean_abs2(1.0, a_s))
+    return _recycled_etas(mean_abs2(0.0, a_d), mean_abs2(1.0, a_s), "averaged eta_V")
 
 
 def pulse_etas(params: CavityParams, spec: PulseSpec) -> Etas:
@@ -218,7 +212,7 @@ def pulse_etas(params: CavityParams, spec: PulseSpec) -> Etas:
         factor = math.sqrt(estimate / (QUADRATURE_TOL / 10.0))
         suggested = 1 << math.ceil(math.log2(spec.n_points * factor))
         raise QuadratureError(estimate, suggested)
-    return _averaged_etas(eta_h, eta_v)
+    return _recycled_etas(eta_h, eta_v, "averaged eta_V")
 
 
 def projected_spin_state(params: CavityParams, omega: float, state: StateVector,

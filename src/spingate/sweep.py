@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -94,6 +95,14 @@ class SweepBaseline:
     trials: int = 10_000
 
     def __post_init__(self) -> None:
+        # a config file may hold any JSON value; a string, list, null or
+        # bool must not reach the physics as a float.  Every row builds a
+        # baseline, so a plain float skips the slower ABC check.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not float and (isinstance(value, bool)
+                                             or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # checked here too so that sweeps without Monte Carlo columns,
         # which build no GateConfig, reject a bad cap as well
         check_count("max_recycles", self.max_recycles, 0)
@@ -101,6 +110,9 @@ class SweepBaseline:
         # PulseSpec's minimum, checked here so a config file cannot set a
         # fractional grid size that only the quadrature fallback would read
         check_count("pulse_points", self.pulse_points, 16)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(SweepBaseline) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -361,11 +373,3 @@ def emit(table: Table, fmt: str, out: Optional[str] = None) -> str:
             fh.write(text)
     return text
 
-
-def baseline_from_mapping(mapping: dict) -> SweepBaseline:
-    """Build a baseline from config-file keys, rejecting unknown ones."""
-    known = {f.name for f in fields(SweepBaseline)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ValueError(f"unknown baseline fields: {sorted(unknown)}")
-    return SweepBaseline(**mapping)

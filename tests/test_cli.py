@@ -11,7 +11,7 @@ import pytest
 
 import spingate
 from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, emit_csv,
+from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, emit_csv,
                             run_sweep)
 
 
@@ -167,6 +167,104 @@ class TestIntegerFields:
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "pulse_points" in captured.err and captured.out == ""
+
+
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type exits 2, naming its key."""
+
+    ARGV = ["--axis", "kappa_ratio", "--grid", "13", "--out", "-"]
+
+    @pytest.mark.parametrize("config, outputs", [
+        ({"gamma": "x"}, "eta_S"),
+        ({"cooperativity": None}, "eta_S"),
+        ({"detuning": [1]}, "eta_S"),
+        ({"bandwidth": "0.1"}, "pulse_eta_S"),
+        ({"eta_in": "0.5"}, "eta_S"),
+        ({"eta_in": "0.5"}, "mc_eta_S"),
+        ({"gamma": True}, "eta_S"),
+        ({"outputs": 5}, None),
+        ({"outputs": [1, "a"]}, None),
+    ])
+    def test_wrong_type_is_a_config_error(self, tmp_path, capsys, config, outputs):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)] + self.ARGV
+        if outputs:
+            argv += ["--outputs", outputs, "--trials", "100"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        (field,) = config
+        assert field in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("out", [True, 5])
+    def test_non_string_out_is_a_config_error(self, tmp_path, out):
+        # in a fresh process: a file descriptor opened here would be pytest's
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"axis": "kappa_ratio", "grid": [13], "out": out}))
+        source_root = str(Path(spingate.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "spingate.cli", "--config", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": source_root})
+        assert result.returncode == EXIT_CONFIG
+        assert result.stdout == "" and "out must be a path string" in result.stderr
+
+
+class TestFlagsOverrideConfig:
+    """Each flag's value beats its config key's; the key's is used alone."""
+
+    # config key: (flag, flag value, the value it sets, a config value)
+    KEYS = {
+        "cooperativity": ("--c", "0.5", 0.5, 0.9),
+        "kappa_ratio": ("--kappa-ratio", "7", 7.0, 11.0),
+        "gamma": ("--gamma", "0.2", 0.2, 0.3),
+        "detuning": ("--detuning", "0.4", 0.4, 0.6),
+        "trion_offset": ("--trion-offset", "0.05", 0.05, 0.15),
+        "eta_in": ("--eta-in", "0.8", 0.8, 0.9),
+        "detector_efficiency": ("--detector-eff", "0.7", 0.7, 0.75),
+        "dephasing": ("--dephasing", "0.01", 0.01, 0.02),
+        "max_recycles": ("--max-recycles", "3", 3, 4),
+        "bandwidth": ("--bandwidth", "0.2", 0.2, 0.3),
+        "trials": ("--trials", "100", 100, 200),
+        "axis": ("--axis", "detuning", "detuning", "cooperativity"),
+        "grid": ("--grid", "1,2", [1.0, 2.0], [3, 4]),
+        "outputs": ("--outputs", "eta_H", ["eta_H"], ["eta_V"]),
+        "seed": ("--seed", "5", 5, 6),
+    }
+
+    @pytest.fixture
+    def captured_specs(self, monkeypatch):
+        specs = []
+
+        def fake_run_sweep(spec):
+            specs.append(spec)
+            return Table(columns=spec.columns, rows=())
+
+        monkeypatch.setattr("spingate.cli.run_sweep", fake_run_sweep)
+        return specs
+
+    @staticmethod
+    def setting(spec, key):
+        """The spec's value for a config key, in the config file's form."""
+        if key == "axis":
+            return spec.axis.value
+        if key in ("grid", "outputs"):
+            return list(getattr(spec, key))
+        return getattr(spec if key == "seed" else spec.fixed, key)
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("with_flag", [True, False])
+    def test_flag_wins_and_key_is_read(self, tmp_path, captured_specs, key, with_flag):
+        flag, flag_text, from_flag, from_config = self.KEYS[key]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"axis": "kappa_ratio", "grid": [13],
+                                    key: from_config}))
+        argv = ["--config", str(path), "--out", "-"]
+        if with_flag:
+            argv += [flag, flag_text]
+        assert main(argv) == EXIT_OK
+        (spec,) = captured_specs
+        assert self.setting(spec, key) == (from_flag if with_flag else from_config)
 
 
 class TestNonFiniteValues:

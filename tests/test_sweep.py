@@ -276,6 +276,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed"):
             SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,), seed=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "x"), ("cooperativity", None), ("detuning", [1]), ("bandwidth", "0.1"),
+        ("eta_in", "0.5"), ("gamma", True), ("pulse_center", False)])
+    def test_float_fields_must_be_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SweepBaseline(**{field: value})
+
+    def test_float_fields_take_ints_numpy_floats_and_inf(self):
+        fixed = SweepBaseline(cooperativity=1, gamma=np.float32(0.5), kappa_ratio=math.inf)
+        assert (fixed.cooperativity, fixed.gamma, fixed.kappa_ratio) == (1, 0.5, math.inf)
+
     def test_numpy_integers_are_integers(self):
         assert SweepBaseline(trials=np.int64(7)).trials == 7
         assert SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,), seed=np.int32(3)).seed == 3
