@@ -81,7 +81,8 @@ class CavityParams:
         if kappa_ratio <= 0:
             raise ValueError("kappa_ratio must be positive")
         kappa_s = 0.0 if math.isinf(kappa_ratio) else kappa / kappa_ratio
-        g = math.sqrt(cooperativity * gamma * (kappa + kappa_s))
+        # a radicand below 0 means gamma or kappa <= 0, which __post_init__ names
+        g = math.sqrt(max(0.0, cooperativity * gamma * (kappa + kappa_s)))
         return cls(omega_c=probe_detuning, omega_x=probe_detuning + trion_offset,
                    omega_probe=0.0, kappa=kappa, kappa_s=kappa_s, gamma=gamma, g=g)
 

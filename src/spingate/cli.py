@@ -5,9 +5,9 @@ sweep fields, with any individual flag overriding the file.  Each flag's
 argparse destination is its config key (``--c`` sets ``cooperativity``,
 ``--detector-eff`` sets ``detector_efficiency``, ``--kappa-ratio`` sets
 ``kappa_ratio``, ...), and the parser records only the flags given, so
-flags and file merge in one mapping.  ``pulse_center`` and
-``pulse_points`` have no flag: only a config file sets them.  Exit codes:
-0 success, 2 invalid configuration, 3 output I/O error.
+flags and file merge in one mapping.  Only ``pulse_center`` has no flag:
+a config file alone sets it.  Exit codes: 0 success, 2 invalid
+configuration, 3 output I/O error.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing leaves no state in it.
@@ -113,9 +113,11 @@ def _assemble(flags: dict):
     try:
         if isinstance(grid_value, str):
             grid = grid_from_string(grid_value)
+        elif isinstance(grid_value, list) and all(type(v) in (int, float) for v in grid_value):
+            grid = tuple(float(v) for v in grid_value)  # JSON numbers; a bool is not one
         else:
-            grid = tuple(float(v) for v in grid_value)
-    except (TypeError, ValueError) as exc:
+            raise ValueError(f"expected a string or a list of numbers, got {grid_value!r}")
+    except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
     outputs_value = settings.get("outputs")

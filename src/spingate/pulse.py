@@ -119,7 +119,7 @@ class PulseSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be positive")
+            raise ValueError("delta (the pulse bandwidth) must be positive")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
         if self.n_points < 16:

@@ -9,6 +9,10 @@ are exact closed forms; Monte Carlo columns carry their binomial standard
 error and are reproducible: row i uses its own generator seeded with
 ``seed XOR i``, so a row's bytes do not depend on the other rows.
 
+``_row_inputs`` builds each row's library inputs in one place (baseline,
+``CavityParams``, ``GateConfig``, ``PulseSpec``), whichever columns the
+row prints, so their range checks reject a bad value on every sweep.
+
 The analytic and pulse columns (``eta_H``, ``eta_V``, ``eta_S``,
 ``pulse_eta_S``) assume a perfectly coupled probe and a perfect detector,
 so they do not move along the ``eta_in`` axis or with
@@ -37,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cavity import CavityParams, ReflectionPair, reflection_pair
+from .cavity import CavityParams, reflection_pair
 from .gate import (DegenerateRecycleError, GateConfig, RunOutcome, analytic_etas,
                    check_count, sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
@@ -91,25 +95,19 @@ class SweepBaseline:
     max_recycles: int = 50
     bandwidth: float = 0.1
     pulse_center: float = 0.0
-    pulse_points: int = 1 << 17
     trials: int = 10_000
 
     def __post_init__(self) -> None:
         # a config file may hold any JSON value; a string, list, null or
         # bool must not reach the physics as a float.  Every row builds a
-        # baseline, so a plain float skips the slower ABC check.
+        # baseline, so a plain float skips the slower ABC check.  The
+        # ranges are checked by the library types each row builds.
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if type(value) is not float and (isinstance(value, bool)
                                              or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        # checked here too so that sweeps without Monte Carlo columns,
-        # which build no GateConfig, reject a bad cap as well
-        check_count("max_recycles", self.max_recycles, 0)
         check_count("trials", self.trials, 1)
-        # PulseSpec's minimum, checked here so a config file cannot set a
-        # fractional grid size that only the quadrature fallback would read
-        check_count("pulse_points", self.pulse_points, 16)
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(SweepBaseline) if f.type == "float")
@@ -175,31 +173,32 @@ def grid_from_string(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _row_inputs(spec: SweepSpec, value: float) -> tuple[SweepBaseline, CavityParams]:
+def _row_inputs(spec: SweepSpec, value: float
+                ) -> tuple[SweepBaseline, CavityParams, GateConfig, PulseSpec]:
     base = replace(spec.fixed, **{spec.axis.value: value})
     params = CavityParams.from_cooperativity(
         base.cooperativity, kappa_ratio=base.kappa_ratio, gamma=base.gamma,
         probe_detuning=base.detuning, trion_offset=base.trion_offset)
-    return base, params
-
-
-def _monte_carlo(pair: ReflectionPair, base: SweepBaseline,
-                 rng) -> tuple[float, float, float]:
-    config = GateConfig(pair=pair, eta_in=base.eta_in,
+    config = GateConfig(pair=reflection_pair(params), eta_in=base.eta_in,
                         detector_efficiency=base.detector_efficiency,
                         max_recycles=base.max_recycles,
                         dephasing_per_attempt=base.dephasing)
-    outcome, attempts = sample_runs(config, base.trials, rng)
-    rate = np.count_nonzero(outcome == RunOutcome.SUCCESS) / base.trials
-    stderr = math.sqrt(rate * (1.0 - rate) / base.trials)
-    return rate, stderr, int(attempts.sum()) / base.trials
+    pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center)
+    return base, params, config, pulse
+
+
+def _monte_carlo(config: GateConfig, trials: int, rng) -> tuple[float, float, float]:
+    outcome, attempts = sample_runs(config, trials, rng)
+    rate = np.count_nonzero(outcome == RunOutcome.SUCCESS) / trials
+    stderr = math.sqrt(rate * (1.0 - rate) / trials)
+    return rate, stderr, int(attempts.sum()) / trials
 
 
 def compute_row(spec: SweepSpec, index: int) -> dict:
     """One grid point; independent of every other row."""
     value = spec.grid[index]
-    base, params = _row_inputs(spec, value)
-    pair = reflection_pair(params)
+    base, params, config, pulse = _row_inputs(spec, value)
+    pair = config.pair
     row = {c: None for c in spec.columns}
     row["axis"] = spec.axis.value
     row["value"] = quantize(value)
@@ -217,15 +216,13 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
                 row[name] = quantize(values[name])
     if wants & {"mc_eta_S", "mean_attempts"}:
         rng = np.random.default_rng(spec.seed ^ index)
-        rate, stderr, mean_attempts = _monte_carlo(pair, base, rng)
+        rate, stderr, mean_attempts = _monte_carlo(config, base.trials, rng)
         if "mc_eta_S" in wants:
             row["mc_eta_S"] = quantize(rate)
             row["mc_stderr"] = quantize(stderr)
         if "mean_attempts" in wants:
             row["mean_attempts"] = quantize(mean_attempts)
     if "pulse_eta_S" in wants:
-        pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center,
-                          n_points=base.pulse_points)
         try:
             etas = gaussian_etas(params, pulse) or pulse_etas(params, pulse)
             row["pulse_eta_S"] = quantize(etas.eta_s)

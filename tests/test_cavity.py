@@ -170,3 +170,12 @@ class TestCooperativity:
             CavityParams.from_cooperativity(math.inf)
         with pytest.raises(ValueError):
             CavityParams.from_cooperativity(1.0, kappa_ratio=0.0)
+
+    @pytest.mark.parametrize("bad, name", [(dict(gamma=-1.0), "gamma"),
+                                           (dict(gamma=0.0), "gamma"),
+                                           (dict(kappa=-1.0), "kappa")])
+    def test_rejects_bad_rates_by_name(self, bad, name):
+        # CavityParams' own check names the rate; solving for g must not
+        # fail first on the square root of a negative number
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            CavityParams.from_cooperativity(0.25, **bad)

@@ -210,6 +210,74 @@ class TestConfigValueTypes:
         assert result.stdout == "" and "out must be a path string" in result.stderr
 
 
+class TestRangesOnEverySweep:
+    """Each row builds every library input, so an out-of-range value exits 2
+    even on a sweep whose columns never read it."""
+
+    ANALYTIC = ["--axis", "kappa_ratio", "--grid", "13", "--out", "-"]
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--axis", "eta_in", "--grid", "5,7"], "eta_in"),
+        (["--detector-eff", "2"], "detector_efficiency"),
+        (["--dephasing", "-3"], "dephasing"),
+        (["--bandwidth", "-1"], "bandwidth"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, capsys, flags, key):
+        assert main(self.ANALYTIC + flags) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
+
+    def test_negative_gamma_names_gamma(self, capsys):
+        assert main(self.ANALYTIC + ["--gamma", "-1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "gamma must be positive" in captured.err and captured.out == ""
+
+    def test_pulse_points_config_key_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"pulse_points": 1024}))
+        assert main(["--config", str(path)] + self.ANALYTIC) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "pulse_points" in captured.err and captured.out == ""
+
+
+class TestConfigErrors:
+    """Config values and files that exit 2 before any row is computed."""
+
+    @staticmethod
+    def run_config(tmp_path, capsys, config, argv=()):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "--out", "-", *argv])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("grid", [[True, 2], {"1": 0, "3": 0}, ["1", "2"]])
+    def test_grid_must_be_a_string_or_a_list_of_numbers(self, tmp_path, capsys, grid):
+        code, err = self.run_config(tmp_path, capsys, {"grid": grid},
+                                    ["--axis", "kappa_ratio"])
+        assert code == EXIT_CONFIG and "bad grid: " in err
+
+    def test_unknown_axis(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, {"axis": "foo", "grid": "1"})
+        assert code == EXIT_CONFIG and "unknown axis 'foo'" in err
+
+    def test_unknown_format(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, {"format": "xml"},
+                                    ["--axis", "kappa_ratio", "--grid", "13"])
+        assert code == EXIT_CONFIG and "unknown format 'xml'" in err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, [1, 2])
+        assert code == EXIT_CONFIG and "config file must hold a JSON object" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = main(["--config", str(tmp_path / "absent.json"), "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "cannot read config file" in captured.err
+
+
 class TestFlagsOverrideConfig:
     """Each flag's value beats its config key's; the key's is used alone."""
 

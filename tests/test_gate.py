@@ -153,6 +153,11 @@ class TestSingleShotDistribution:
         with pytest.raises(ValueError, match="normalized"):
             single_shot_distribution(config, bad, 0, 1)
 
+    def test_normalized_state_with_a_bad_qubit_raises_index_error(self):
+        config = GateConfig(pair=ReflectionPair.ideal())
+        with pytest.raises(IndexError):
+            single_shot_distribution(config, plus_plus(), 0, 5)
+
 class TestRunGate:
     def test_ideal_gate_succeeds_first_try(self):
         config = GateConfig(pair=ReflectionPair.ideal())

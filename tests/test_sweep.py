@@ -266,11 +266,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             SweepBaseline(trials=value)
 
-    @pytest.mark.parametrize("value", [100.5, 64.0, True, 15])
-    def test_pulse_points_must_be_an_integer_of_at_least_16(self, value):
-        with pytest.raises(ValueError, match="pulse_points"):
-            SweepBaseline(pulse_points=value)
-
     @pytest.mark.parametrize("value", [1.5, 2.0, True, -1])
     def test_seed_must_be_a_non_negative_integer(self, value):
         with pytest.raises(ValueError, match="seed"):
