@@ -117,7 +117,7 @@ def _assemble(flags: dict):
             grid = tuple(float(v) for v in grid_value)  # JSON numbers; a bool is not one
         else:
             raise ValueError(f"expected a string or a list of numbers, got {grid_value!r}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ConfigError(f"bad grid: {exc}") from exc
 
     outputs_value = settings.get("outputs")

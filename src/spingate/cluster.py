@@ -45,7 +45,10 @@ is the oracle every grow/connect path is checked against.
 A gate run succeeds with the same probability whatever the register
 holds, so the resource factory (``simulate_factory``) walks over chain
 lengths with runs drawn by ``gate.sample_runs`` and builds no register;
-``expected_gate_ops`` is its exact mean.
+``expected_gate_ops`` is its exact mean.  The walk reads the runs' success
+flags in plain loops, from whole batches each sized from that mean for the
+trials left.  ``sample_runs`` draws the same runs however a request is
+split into batches, so the batch size changes no count.
 """
 
 from __future__ import annotations
@@ -53,18 +56,21 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .gate import GateConfig, GateOutcome, GateResult, RunOutcome, run_gate, sample_runs
+from .gate import (GateConfig, GateOutcome, GateResult, RunOutcome, check_count, run_gate,
+                   run_moments, sample_runs)
 from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _frozen, apply_1q,
                      collapse_z, measure_z, split, subsystem_fidelity, tensor)
 from .qstate import permute  # noqa: F401  unused; the benchmark tracer wraps cluster.permute
 
 MAX_FACTORY_TARGET = 10
 _MAX_OPS_PER_TRIAL = 1_000_000
+_MAX_BATCH = 1 << 16  # the most gate runs one factory batch draws
 
 
 class GrowthStrategy(enum.Enum):
@@ -303,42 +309,76 @@ class FactoryStats:
         return Table(columns=columns, rows=(row,))
 
 
-def _gate_runs(config: GateConfig, rng: np.random.Generator):
-    """Endless (succeeded, attempts) pairs of gate runs, drawn 512 at a time."""
-    while True:
-        outcome, attempts = sample_runs(config, 512, rng)
-        yield from zip((outcome == RunOutcome.SUCCESS).tolist(), attempts.tolist())
+class _RunReader:
+    """Success flags of the gate runs a ``simulate_factory`` call reads, one
+    ``sample_runs`` batch at a time, and the photons of every run drawn.
 
+    ``flags`` iterates over the current batch; the walk reads it with plain
+    ``for`` loops and calls ``refill`` only once it has run dry.
+    """
 
-class _Trial:
-    """The gate operations and photons one factory trial spends."""
+    def __init__(self, config: GateConfig, rng: np.random.Generator, target: int,
+                 strategy: GrowthStrategy, trials: int):
+        self.config, self.rng, self.target, self.strategy = config, rng, target, strategy
+        self.trials = trials
+        self.flags = iter(())
+        self.drawn = 0      # runs drawn so far
+        self.attempts = []  # their photon counts, one array per batch
+        self.start = 0      # run position where the current trial began
+        self.done = 0       # trials finished
 
-    def __init__(self, runs):
-        self.runs, self.ops, self.photons = runs, 0, 0
+    def position(self) -> int:
+        """How many runs the trials have read so far."""
+        return self.drawn - operator.length_hint(self.flags)
 
-    def succeeds(self) -> bool:
-        success, attempts = next(self.runs)
-        self.ops += 1
-        self.photons += attempts
-        if self.ops > _MAX_OPS_PER_TRIAL:
+    def check_budget(self, position: int) -> None:
+        if position - self.start > _MAX_OPS_PER_TRIAL:
             raise RuntimeError("factory trial exceeded the gate-operation budget")
-        return success
+
+    def refill(self) -> None:
+        """Draw the next batch: the runs the trials left are expected to
+        read, plus three square roots of that, and at most ``_MAX_BATCH``
+        (the size used when no run can succeed)."""
+        self.check_budget(self.drawn)
+        p = min(run_moments(self.config)[0], 1.0)  # p_unit may pass 1 by rounding
+        mean = (expected_gate_ops(self.target, p, self.strategy) * (self.trials - self.done)
+                if p > 0.0 else math.inf)
+        n = max(math.ceil(min(mean + 3.0 * math.sqrt(mean), _MAX_BATCH)), 1)
+        outcome, attempts = sample_runs(self.config, n, self.rng)
+        self.flags = iter((outcome == RunOutcome.SUCCESS).tolist())
+        self.drawn += n
+        self.attempts.append(attempts)
 
 
-def _grow_to(length: int, target: int, trial: _Trial) -> None:
+def _grow_to(length: int, target: int, runs: _RunReader) -> None:
     length = max(length, 1)  # an emptied chain re-prepares one spin for free
     while length < target:
-        length = length + 1 if trial.succeeds() else max(length - 1, 1)
+        for success in runs.flags:
+            if success:
+                length += 1
+                if length == target:
+                    return
+            elif length > 1:
+                length -= 1
+        runs.refill()
 
 
-def _build_pairwise(target: int, trial: _Trial) -> None:
+def _build_pairwise(target: int, runs: _RunReader) -> None:
     if target > 1:
         left, right = (target + 1) // 2, target // 2
-        _build_pairwise(left, trial)
-        _build_pairwise(right, trial)
-        while not trial.succeeds():  # a failed connection costs each half one spin
-            _grow_to(left - 1, left, trial)
-            _grow_to(right - 1, right, trial)
+        _build_pairwise(left, runs)
+        _build_pairwise(right, runs)
+        while True:
+            for success in runs.flags:
+                if success:
+                    return
+                # a failed connection costs each half one spin; regrowing
+                # them may refill, so read on from the current batch
+                _grow_to(left - 1, left, runs)
+                _grow_to(right - 1, right, runs)
+                break
+            else:
+                runs.refill()
 
 
 def simulate_factory(target_length: int, config: GateConfig,
@@ -352,23 +392,37 @@ def simulate_factory(target_length: int, config: GateConfig,
     after a failed connection.  Photons and gate operations are counted
     until the target length is first reached; a trial that spends more
     than 1e6 gate operations raises RuntimeError.
+
+    The trials read gate runs in order from ``sample_runs`` batches, each
+    sized from the exact mean: ``expected_gate_ops`` times the trials
+    left, plus three square roots of that, and at most 2**16 runs.  A
+    trial's gate ops are the runs it read and its photons their attempts.
+    ``sample_runs`` draws the same runs whether asked for them at once or
+    in parts, so the batch sizes change no count, only where ``rng``
+    stands afterwards.
     """
-    if not 1 <= target_length <= MAX_FACTORY_TARGET:
+    check_count("target_length", target_length, 1)
+    if target_length > MAX_FACTORY_TARGET:
         raise ValueError(f"target length must be in [1, {MAX_FACTORY_TARGET}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    counts = np.zeros((2, trials), dtype=np.int64)  # photons, gate ops
-    runs = _gate_runs(config, rng)
+    check_count("trials", trials, 1)
+    runs = _RunReader(config, rng, target_length, strategy, trials)
+    ends = []  # run position after each trial
     for i in range(trials):
-        trial = _Trial(runs)
+        runs.done = i
         if strategy is GrowthStrategy.SEQUENTIAL:
-            _grow_to(1, target_length, trial)
+            _grow_to(1, target_length, runs)
         elif strategy is GrowthStrategy.PAIRWISE:
-            _build_pairwise(target_length, trial)
+            _build_pairwise(target_length, runs)
         else:
             raise TypeError(f"unknown strategy {strategy!r}")
-        counts[:, i] = trial.photons, trial.ops
-    return FactoryStats(strategy, target_length, *counts)
+        end = runs.position()
+        runs.check_budget(end)
+        ends.append(end)
+        runs.start = end
+    photons = np.concatenate([np.zeros(1, dtype=np.int64), *runs.attempts]).cumsum()
+    totals = np.zeros((2, trials + 1), dtype=np.int64)  # photons, gate ops read so far
+    totals[:, 1:] = photons[ends], ends
+    return FactoryStats(strategy, target_length, *(totals[:, 1:] - totals[:, :-1]))
 
 
 def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
@@ -386,8 +440,14 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
     h = [0.0]
     for _ in range(1, target):
         h.append((1.0 + (1.0 - p) * h[-1]) / p)
-    if strategy is GrowthStrategy.SEQUENTIAL or target == 1:
+    if strategy is GrowthStrategy.SEQUENTIAL:
         return sum(h)
-    left, right = (target + 1) // 2, target // 2
-    connect = (1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
-    return sum(expected_gate_ops(n, p, strategy) for n in (left, right)) + connect
+
+    def pairwise(n: int) -> float:
+        if n == 1:
+            return 0.0
+        left, right = (n + 1) // 2, n // 2
+        connect = (1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
+        return pairwise(left) + pairwise(right) + connect
+
+    return pairwise(target)

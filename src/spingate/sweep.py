@@ -104,9 +104,13 @@ class SweepBaseline:
         # ranges are checked by the library types each row builds.
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if type(value) is not float and (isinstance(value, bool)
-                                             or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if type(value) is not float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{name} is too large in magnitude for a float") from None
         check_count("trials", self.trials, 1)
 
 

@@ -258,6 +258,15 @@ class TestConfigErrors:
                                     ["--axis", "kappa_ratio"])
         assert code == EXIT_CONFIG and "bad grid: " in err
 
+    @pytest.mark.parametrize("config, expected", [
+        ({"grid": [1, 10 ** 400]}, "bad grid: "),
+        ({"grid": [13], "cooperativity": 10 ** 400}, "cooperativity"),
+        ({"grid": [13], "detuning": -10 ** 400}, "detuning"),
+    ])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, config, expected):
+        code, err = self.run_config(tmp_path, capsys, config, ["--axis", "kappa_ratio"])
+        assert code == EXIT_CONFIG and expected in err
+
     def test_unknown_axis(self, tmp_path, capsys):
         code, err = self.run_config(tmp_path, capsys, {"axis": "foo", "grid": "1"})
         assert code == EXIT_CONFIG and "unknown axis 'foo'" in err
