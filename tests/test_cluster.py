@@ -18,7 +18,8 @@ from spingate.cluster import (ChainState, GrowthStrategy, add_fresh,
                               canonical_cluster, chain_fidelity, connect_chains,
                               expected_gate_ops, grow_chain, new_chain,
                               simulate_factory)
-from spingate.gate import GateConfig, GateOutcome, analytic_etas, run_moments
+from spingate.gate import (GateConfig, GateOutcome, RunOutcome, analytic_etas, run_moments,
+                           sample_runs)
 from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, apply_1q,
                              fidelity, subsystem_fidelity, tensor)
 
@@ -340,6 +341,12 @@ class TestFactory:
         from spingate.sweep import emit_csv, parse_csv
         assert parse_csv(emit_csv(table)).rows == table.rows
 
+    @pytest.mark.parametrize("target, trials", [(4.0, 2), (True, 2), (4, 3.0), (4, True)])
+    def test_counts_must_be_integers(self, target, trials):
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate_factory(target, IDEAL, GrowthStrategy.SEQUENTIAL,
+                             np.random.default_rng(0), trials=trials)
+
     def test_target_bounds(self):
         with pytest.raises(ValueError):
             simulate_factory(0, IDEAL, GrowthStrategy.SEQUENTIAL,
@@ -420,6 +427,109 @@ class TestFactoryCountsOnly:
         stats = simulate_factory(8, config, strategy, np.random.default_rng(5), trials=50)
         assert np.all(stats.gate_ops >= 7)
         assert np.all(stats.photons >= stats.gate_ops)
+
+
+# --- the batched factory walk against the per-operation walk it replaced ----------
+
+def per_op_runs(config, n, rng):
+    """(succeeded, attempts) of n gate runs drawn by one ``sample_runs`` call."""
+    outcome, attempts = sample_runs(config, n, rng)
+    yield from zip((outcome == RunOutcome.SUCCESS).tolist(), attempts.tolist())
+    raise AssertionError("the oracle ran out of runs; draw more")
+
+
+class PerOpTrial:
+    """The gate operations and photons one factory trial spends, one op at a time."""
+
+    def __init__(self, runs):
+        self.runs, self.ops, self.photons = runs, 0, 0
+
+    def succeeds(self):
+        success, attempts = next(self.runs)
+        self.ops += 1
+        self.photons += attempts
+        return success
+
+
+def per_op_grow_to(length, target, trial):
+    length = max(length, 1)
+    while length < target:
+        length = length + 1 if trial.succeeds() else max(length - 1, 1)
+
+
+def per_op_build_pairwise(target, trial):
+    if target > 1:
+        left, right = (target + 1) // 2, target // 2
+        per_op_build_pairwise(left, trial)
+        per_op_build_pairwise(right, trial)
+        while not trial.succeeds():
+            per_op_grow_to(left - 1, left, trial)
+            per_op_grow_to(right - 1, right, trial)
+
+
+def per_op_factory(target, config, strategy, rng, trials):
+    """(gate_ops, photons) of the per-operation walk, fed with four times
+    the runs the trials are expected to read."""
+    p, _ = run_moments(config)
+    n = 4 * math.ceil(expected_gate_ops(target, p, strategy) * trials) + 1000
+    runs = per_op_runs(config, n, rng)
+    counts = np.zeros((2, trials), dtype=np.int64)
+    for i in range(trials):
+        trial = PerOpTrial(runs)
+        if strategy is GrowthStrategy.SEQUENTIAL:
+            per_op_grow_to(1, target, trial)
+        else:
+            per_op_build_pairwise(target, trial)
+        counts[:, i] = trial.ops, trial.photons
+    return counts
+
+
+C1_PAIR = reflection_pair(CavityParams.from_cooperativity(1.0, kappa_ratio=13.0, gamma=0.1))
+ORACLE_CONFIGS = {
+    "ideal": IDEAL,
+    "eta_half": GateConfig(pair=ReflectionPair.from_coefficients(-math.sqrt(0.5),
+                                                                 math.sqrt(0.5))),
+    "cavity_c1": GateConfig(pair=C1_PAIR),
+    # per attempt: success 1/2, recycle 1/2; a run hits the cap 1/16 of the time
+    "recycling_cap3": GateConfig(pair=ReflectionPair.from_coefficients(1j, 1.0),
+                                 max_recycles=3),
+    "eta_in_detector": GateConfig(pair=C1_PAIR, eta_in=0.9, detector_efficiency=0.8),
+}
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_counts_equal_the_per_op_walk(self, name, strategy):
+        config = ORACLE_CONFIGS[name]
+        for target, seed in itertools.product(range(1, 11), (3, 8, 19)):
+            stats = simulate_factory(target, config, strategy, np.random.default_rng(seed),
+                                     trials=16)
+            gate_ops, photons = per_op_factory(target, config, strategy,
+                                               np.random.default_rng(seed), 16)
+            assert stats.gate_ops.dtype == stats.photons.dtype == np.int64
+            np.testing.assert_array_equal(stats.gate_ops, gate_ops)
+            np.testing.assert_array_equal(stats.photons, photons)
+
+    @pytest.mark.parametrize("batch", [None, 1, 5])
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_budget_is_exact(self, strategy, batch, monkeypatch):
+        import spingate.cluster
+        if batch is not None:  # refill many times within a trial
+            monkeypatch.setattr(spingate.cluster, "_MAX_BATCH", batch)
+        config = ORACLE_CONFIGS["eta_in_detector"]
+
+        def run():
+            return simulate_factory(6, config, strategy, np.random.default_rng(2), trials=20)
+
+        stats = run()
+        largest = int(stats.gate_ops.max())
+        assert largest > int(np.median(stats.gate_ops))  # one trial stands out
+        monkeypatch.setattr(spingate.cluster, "_MAX_OPS_PER_TRIAL", largest)
+        np.testing.assert_array_equal(run().gate_ops, stats.gate_ops)
+        monkeypatch.setattr(spingate.cluster, "_MAX_OPS_PER_TRIAL", largest - 1)
+        with pytest.raises(RuntimeError, match="budget"):
+            run()
 
 
 # --- failures split off the spins they leave behind ------------------------------
