@@ -372,11 +372,13 @@ def _build_pairwise(target: int, runs: _RunReader) -> None:
             for success in runs.flags:
                 if success:
                     return
-                # a failed connection costs each half one spin; regrowing
-                # them may refill, so read on from the current batch
-                _grow_to(left - 1, left, runs)
-                _grow_to(right - 1, right, runs)
-                break
+                if left > 1:
+                    # a failed connection costs each half one spin; regrowing
+                    # them may refill, so read on from the current batch
+                    _grow_to(left - 1, left, runs)
+                    _grow_to(right - 1, right, runs)
+                    break
+                # two single spins: nothing regrows, so read the next flag
             else:
                 runs.refill()
 

@@ -63,6 +63,8 @@ _DEGENERATE_ATOL = 1e-15
 # sample_runs draws at most max(runs left, this many) uniforms at a time,
 # so a row of long recycling runs stays small in memory
 _MAX_BLOCK = 1 << 16
+# sample_runs counts a run's attempts, up to the cap max_recycles + 1, in int64
+_MAX_CAP = 2 ** 63 - 1
 
 
 def check_count(name: str, value, minimum: int) -> None:
@@ -126,6 +128,9 @@ class GateConfig:
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
         check_count("max_recycles", self.max_recycles, 0)
+        if self.max_recycles >= _MAX_CAP:
+            raise ValueError(f"max_recycles must be below {_MAX_CAP}, "
+                             "so that max_recycles + 1 attempts fit a 64-bit count")
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,14 @@ Faddeeva function,
 evaluated with Weideman's rational approximation (J. A. C. Weideman,
 SIAM J. Numer. Anal. 31, 1497 (1994)).  At the exceptional point
 omega_x = omega_c, (kappa + kappa_s - gamma)/2 = 2g the two roots p_+-
-merge and the partial-fraction weights blow up; there ``gaussian_etas``
-declines (returns None) and the caller falls back to ``pulse_etas``.
-The closed form averages over the whole line, so it ignores the grid
-fields ``n_points`` and ``span`` of the spec.
+merge and their partial-fraction weights blow up; near it the trapezoid
+rule on a circle about both (Trefethen & Weideman, SIAM Review 56, 385
+(2014)) turns the Cauchy integral of their term into nodes with bounded
+weights, used in the same sums.  The closed form averages over the whole
+line, so it ignores the grid fields ``n_points`` and ``span`` of the spec.
 
-``pulse_etas`` is the quadrature path, kept as the cross-check oracle and
-that fallback: a midpoint rule on [mu - span*Delta, mu + span*Delta] with
+``pulse_etas`` is the quadrature path, kept as the cross-check oracle: a
+midpoint rule on [mu - span*Delta, mu + span*Delta] with
 the weights renormalized to unit mass.  Its quadrature error is estimated
 by Richardson comparison against the half-resolution grid and the call is
 rejected when the estimate exceeds 1e-6.
@@ -64,10 +65,12 @@ from .gate import Etas, _recycled_etas
 from .qstate import Parity, StateVector, ZeroProbabilityError, project_parity
 
 QUADRATURE_TOL = 1e-6
-# gaussian_etas declines below this |p_+ - p_-| / (kappa + kappa_s + gamma):
-# rounding in the partial-fraction weights grows as the inverse square of
-# the pole gap, ~1e-16 / gap**2 (kappa = 1), so 1e-2 keeps it near 1e-12
+# below this |p_+ - p_-| / (kappa + kappa_s + gamma), gaussian_etas swaps p_+-
+# for contour nodes: their partial-fraction weights round off as ~1e-16 / gap**2
+# (kappa = 1), so 1e-2 keeps that near 1e-12.  The contour, of radius width/8,
+# encloses both poles with margin only for gaps well below 1/4
 _POLE_GAP_RTOL = 1e-2
+_CONTOUR_NODES = 64  # trapezoid nodes on that contour; error ~2**-64 at real omega
 
 
 def _weideman(n: int) -> tuple[float, np.ndarray]:
@@ -104,7 +107,7 @@ def _faddeeva(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian wavepacket plus its quadrature grid.
+    """Gaussian wavepacket plus the quadrature grid of ``pulse_etas``.
 
     ``delta`` is the bandwidth and ``center`` the pulse-center offset from
     the cavity resonance, both in units of kappa.  ``span`` is the
@@ -160,26 +163,35 @@ def _averaged_pair(params: CavityParams, spec: PulseSpec, n: int) -> tuple[float
     return eta_h, eta_v
 
 
-def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas | None:
+def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas:
     """Exact frequency-averaged efficiencies of the gate for a Gaussian pulse.
 
     Evaluates the spectral averages in closed form (see the module
-    docstring); agrees with ``pulse_etas`` to ~1e-12.  Returns None near
-    the exceptional point, where the two coupled poles merge and the
-    partial fractions lose accuracy: use ``pulse_etas`` there.  Raises
-    DegenerateRecycleError when the averaged eta_V reaches one.
+    docstring) at every cavity, the exceptional point included; agrees
+    with ``pulse_etas`` to ~1e-12.  The grid fields ``n_points`` and
+    ``span`` of the spec serve only ``pulse_etas`` and are ignored here.
+    Raises DegenerateRecycleError when the averaged eta_V reaches one.
     """
     p_a = params.omega_x - 0.5j * params.gamma
     p_b = params.omega_c - 0.5j * (params.kappa + params.kappa_s)
+    width = params.kappa + params.kappa_s + params.gamma
+    mid = (p_a + p_b) / 2
     root = cmath.sqrt(((p_a - p_b) / 2) ** 2 + params.g ** 2)
-    if 2.0 * abs(root) < _POLE_GAP_RTOL * (params.kappa + params.kappa_s + params.gamma):
-        return None
-    poles = np.array([p_b, (p_a + p_b) / 2 + root, (p_a + p_b) / 2 - root])
     # r0 = 1 - i kappa / (omega - p_B); r1 = 1 - i kappa sum_k c_k / (omega - p_k)
-    # over p_+-, with c_+ + c_- = 1
-    c_plus = (poles[1] - p_a) / (2.0 * root)
-    empty = np.array([1.0, 0.0, 0.0])
-    coupled = np.array([0.0, c_plus, 1.0 - c_plus])
+    if 2.0 * abs(root) < _POLE_GAP_RTOL * width:
+        # over trapezoid nodes on |z - mid| = width/8 (|Im mid| = width/4):
+        # Cauchy's integral of c(z) = (z - p_A) / ((z - mid)**2 - root**2)
+        circle = width / 8 * np.exp(2j * math.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
+        nodes = mid + circle
+        weights = (nodes - p_a) * circle / (circle ** 2 - root ** 2) / _CONTOUR_NODES
+    else:
+        # over p_+-, with c_+ + c_- = 1
+        nodes = np.array([mid + root, mid - root])
+        c_plus = (nodes[0] - p_a) / (2.0 * root)
+        weights = np.array([c_plus, 1.0 - c_plus])
+    poles = np.concatenate(([p_b], nodes))
+    empty = np.eye(1, poles.size)[0]
+    coupled = np.concatenate(([0.0], weights))
     a_d = 0.5j * params.kappa * (empty - coupled)
     a_s = -0.5j * params.kappa * (empty + coupled)
     mu = params.omega_c + spec.center

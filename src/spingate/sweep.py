@@ -45,7 +45,8 @@ from .cavity import CavityParams, reflection_pair
 from .gate import (DegenerateRecycleError, GateConfig, RunOutcome, analytic_etas,
                    check_count, sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
-from .pulse import PulseSpec, gaussian_etas, pulse_etas
+from .pulse import PulseSpec, gaussian_etas
+from .pulse import pulse_etas  # noqa: F401  unused; the benchmark tracer wraps sweep.pulse_etas
 from .qstate import tensor  # noqa: F401  unused; the benchmark tracer wraps sweep.tensor
 
 
@@ -228,7 +229,7 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
             row["mean_attempts"] = quantize(mean_attempts)
     if "pulse_eta_S" in wants:
         try:
-            etas = gaussian_etas(params, pulse) or pulse_etas(params, pulse)
+            etas = gaussian_etas(params, pulse)
             row["pulse_eta_S"] = quantize(etas.eta_s)
         except DegenerateRecycleError:
             row["pulse_eta_S"] = None

@@ -148,6 +148,20 @@ class TestIntegerFields:
         captured = capsys.readouterr()
         assert field in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("cap", [10 ** 400, 10 ** 30, 2 ** 63 - 1])
+    def test_config_rejects_a_cap_beyond_int64(self, tmp_path, capsys, cap):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"max_recycles": cap}))
+        assert main(["--config", str(path)] + self.MC) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "max_recycles" in captured.err and captured.out == ""
+
+    def test_largest_cap_runs(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"max_recycles": 2 ** 63 - 2}))
+        assert main(["--config", str(path), "--trials", "100"] + self.MC) == EXIT_OK
+        assert capsys.readouterr().out.startswith("axis,value,mc_eta_S")
+
     def test_cap_is_checked_without_monte_carlo_columns(self, capsys):
         assert main(["--axis", "kappa_ratio", "--grid", "13", "--max-recycles", "-1",
                      "--out", "-"]) == EXIT_CONFIG

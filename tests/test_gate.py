@@ -8,7 +8,7 @@ import pytest
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.gate import (DegenerateRecycleError, GateConfig, GateOutcome,
                            ModelDomainError, analytic_etas, run_gate,
-                           single_shot_distribution)
+                           sample_runs, single_shot_distribution)
 from spingate.qstate import (Parity, StateVector, fidelity, project_parity,
                              tensor)
 
@@ -323,3 +323,13 @@ class TestDephasing:
         with pytest.raises(ValueError, match="max_recycles"):
             GateConfig(pair=ReflectionPair.ideal(), max_recycles=cap)
         assert GateConfig(pair=ReflectionPair.ideal(), max_recycles=np.int64(3)).max_recycles == 3
+
+    @pytest.mark.parametrize("cap", [10 ** 400, 10 ** 30, 2 ** 63 - 1, np.int64(2 ** 63 - 1)])
+    def test_max_recycles_plus_one_must_fit_int64(self, cap):
+        with pytest.raises(ValueError, match="max_recycles"):
+            GateConfig(pair=ReflectionPair.ideal(), max_recycles=cap)
+
+    def test_largest_max_recycles_samples_runs(self):
+        config = GateConfig(pair=paper_pair(0.25, 0.1), max_recycles=2 ** 63 - 2)
+        outcome, attempts = sample_runs(config, 100, np.random.default_rng(5))
+        assert len(outcome) == 100 and attempts.min() >= 1

@@ -10,13 +10,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spingate.cavity import CavityParams
-from spingate.gate import analytic_etas
+from spingate.gate import Etas, analytic_etas
 from spingate.cavity import reflection_pair
 from spingate.pulse import (PulseSpec, QuadratureError, _faddeeva, gaussian_etas,
                             projected_spin_state, pulse_etas, spectral_grid)
@@ -165,6 +166,27 @@ def exceptional_point_sweep(kappa_ratio, offsets, detuning=0.1):
                      outputs=("pulse_eta_S",))
 
 
+# narrow, offset and broad pulses
+EP_PULSES = (PulseSpec(delta=0.003), PulseSpec(delta=0.1, center=0.2),
+             PulseSpec(delta=1.0, center=-0.5))
+
+
+def at_pole_gap(kappa_ratio, gap, side):
+    """Cavity at omega_x = omega_c = 0.1 whose coupled poles p_+- sit
+    gap * (kappa + kappa_s + gamma) apart, on the side of the exceptional
+    point that ``side`` (+1 or -1) picks: g**2 = g_EP**2 + side * (gap * width / 2)**2."""
+    gamma, detuning = 0.1, 0.1
+    kappa_s = 0.0 if math.isinf(kappa_ratio) else 1.0 / kappa_ratio
+    g_ep = (1.0 + kappa_s - gamma) / 4
+    width = 1.0 + kappa_s + gamma
+    g = math.sqrt(g_ep ** 2 + side * (gap * width / 2) ** 2)
+    return CavityParams(omega_c=detuning, omega_x=detuning, kappa_s=kappa_s, gamma=gamma, g=g)
+
+
+def quadrature_must_not_run(*args, **kwargs):
+    raise AssertionError("a sweep row ran the quadrature")
+
+
 class TestGaussianEtas:
     def test_agrees_with_quadrature_on_random_draws(self):
         rng = np.random.default_rng(2024)
@@ -189,18 +211,42 @@ class TestGaussianEtas:
         assert gaussian_etas(unit_params(), PulseSpec(delta=0.5, n_points=64)) == exact
 
     @pytest.mark.parametrize("kappa_ratio", [math.inf, 13.0])
-    def test_sweep_matches_quadrature_at_the_exceptional_point(self, kappa_ratio):
+    def test_sweep_matches_quadrature_at_the_exceptional_point(self, kappa_ratio, monkeypatch):
         offsets = (-1e-2, -1e-4, -1e-6, -1e-8, 0.0, 1e-8, 1e-6, 1e-4, 1e-2)
         spec = exceptional_point_sweep(kappa_ratio, offsets)
-        declined = []
+        for name in ("spingate.pulse.pulse_etas", "spingate.sweep.pulse_etas"):
+            monkeypatch.setattr(name, quadrature_must_not_run)
+        closed_form = []
         for row in run_sweep(spec).rows:
             params = CavityParams.from_cooperativity(
                 row["value"], kappa_ratio=kappa_ratio, gamma=0.1, probe_detuning=0.1)
             pulse = PulseSpec(delta=0.1)
             assert abs(row["pulse_eta_S"] - pulse_etas(params, pulse).eta_s) <= 1e-9
-            declined.append(gaussian_etas(params, pulse) is None)
-        # both paths ran: the merged poles fall back, the outer offsets do not
-        assert declined[4] and not declined[0] and not declined[-1]
+            closed_form.append(isinstance(gaussian_etas(params, pulse), Etas))
+        # every row, the merged poles included, came from the closed form
+        assert len(closed_form) == len(offsets) and all(closed_form)
+
+    @pytest.mark.parametrize("kappa_ratio", [13.0, math.inf])
+    def test_agrees_with_fine_quadrature_at_every_pole_gap(self, kappa_ratio):
+        cases = [(0.0, 1)] + [(gap, side) for gap in (1e-8, 1e-4, 1e-2, 1e-1)
+                              for side in (1, -1)]
+        for i, (gap, side) in enumerate(cases):
+            params = at_pole_gap(kappa_ratio, gap, side)
+            pulse = EP_PULSES[i % len(EP_PULSES)]
+            reference = pulse_etas(params, replace(pulse, n_points=2 ** 20))
+            for got, want in zip(gaussian_etas(params, pulse), reference):
+                assert abs(got - want) <= 1e-9, (gap, side, pulse)
+
+    @pytest.mark.parametrize("gap", [0.02, 0.1])
+    def test_contour_and_pole_branches_agree_where_both_apply(self, gap, monkeypatch):
+        cases = [(at_pole_gap(kappa_ratio, gap, side), pulse)
+                 for kappa_ratio in (13.0, math.inf) for side in (1, -1) for pulse in EP_PULSES]
+        poles = [gaussian_etas(params, pulse) for params, pulse in cases]
+        # every gap below the threshold takes the contour
+        monkeypatch.setattr("spingate.pulse._POLE_GAP_RTOL", 1.0)
+        contour = [gaussian_etas(params, pulse) for params, pulse in cases]
+        for a, b in zip(poles, contour):
+            assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-11
 
 
 def test_import_pulls_in_numpy_only():
