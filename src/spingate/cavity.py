@@ -127,15 +127,21 @@ class ReflectionPair:
         return cls.from_coefficients(-1.0, 1.0)
 
 
+def _reflection(params: CavityParams, omega, coupled: bool):
+    """The closed form at probe frequency ``omega``: a float gives a complex
+    number, an array an array."""
+    a = 1j * (params.omega_x - omega) + params.gamma / 2
+    b = 1j * (params.omega_c - omega) + (params.kappa + params.kappa_s) / 2
+    den = a * b + (params.g ** 2 if coupled else 0.0)
+    return 1.0 - params.kappa * a / den
+
+
 def reflection_spectrum(params: CavityParams, omega_probe, coupled: bool) -> np.ndarray:
     """Reflection coefficient evaluated at an array of probe frequencies."""
     omega = np.asarray(omega_probe, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("probe frequencies must be finite")
-    a = 1j * (params.omega_x - omega) + params.gamma / 2
-    b = 1j * (params.omega_c - omega) + (params.kappa + params.kappa_s) / 2
-    den = a * b + (params.g ** 2 if coupled else 0.0)
-    return 1.0 - params.kappa * a / den
+    return _reflection(params, omega, coupled)
 
 
 def reflection(params: CavityParams, coupled: bool) -> complex:
@@ -143,9 +149,9 @@ def reflection(params: CavityParams, coupled: bool) -> complex:
 
     ``coupled=True`` selects the branch where the photon drives the emitter
     transition; ``coupled=False`` the empty-cavity branch (the ``g**2`` term
-    drops out).
+    drops out).  Plain complex arithmetic: no array is built.
     """
-    return complex(reflection_spectrum(params, params.omega_probe, coupled))
+    return _reflection(params, params.omega_probe, coupled)
 
 
 def reflection_pair(params: CavityParams) -> ReflectionPair:

@@ -24,20 +24,27 @@ half plane:
 
 For real omega, |f|**2 with f = c + sum_k a_k / (omega - p_k) has the
 partial fractions |c|**2 + 2 Re sum_k a_k f*(p_k) / (omega - p_k), where
-f*(z) = conj(c) + sum_j conj(a_j) / (z - conj(p_j)) is the reflected
-function, and each term averages against the Gaussian through the
-Faddeeva function,
+f*(z) = conj(f(conj z)) is the reflected function, read off the cavity
+closed forms at conj(p_k), and each term averages against the Gaussian
+through the Faddeeva function,
 
     <1 / (omega - p)> = -i sqrt(pi) conj(w(conj((p - mu) / Delta))) / Delta,
 
 evaluated with Weideman's rational approximation (J. A. C. Weideman,
-SIAM J. Numer. Anal. 31, 1497 (1994)).  At the exceptional point
-omega_x = omega_c, (kappa + kappa_s - gamma)/2 = 2g the two roots p_+-
-merge and their partial-fraction weights blow up; near it the trapezoid
-rule on a circle about both (Trefethen & Weideman, SIAM Review 56, 385
-(2014)) turns the Cauchy integral of their term into nodes with bounded
-weights, used in the same sums.  The closed form averages over the whole
-line, so it ignores the grid fields ``n_points`` and ``span`` of the spec.
+SIAM J. Numer. Anal. 31, 1497 (1994)).  Where |p - mu| > 1e8 Delta,
+w(z) = i / (sqrt(pi) z) to rounding and the average is 1 / (mu - p), the
+Delta -> 0 limit; the argument (p - mu) / Delta is never formed there, so
+bandwidths down to the smallest subnormal stay finite.  At the
+exceptional point omega_x = omega_c, (kappa + kappa_s - gamma)/2 = 2g the
+two roots p_+- merge and their partial-fraction weights blow up; near it
+the trapezoid rule on a circle about both (Trefethen & Weideman, SIAM
+Review 56, 385 (2014)) turns the Cauchy integral of their term into nodes
+with bounded weights, used in the same sums.  The closed form averages
+over the whole line, so it ignores the grid fields ``n_points`` and
+``span`` of the spec.  It runs in plain Python complex arithmetic, with no
+numpy array: a call takes ~17 us for the three poles of most cavities and
+~0.35 ms for the 65 of a cavity inside the contour window (one core of a
+2-vCPU Xeon).
 
 ``pulse_etas`` is the quadrature path, kept as the cross-check oracle: a
 midpoint rule on [mu - span*Delta, mu + span*Delta] with
@@ -60,20 +67,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, reflection_spectrum
+from .cavity import CavityParams, _reflection, reflection_spectrum
 from .gate import Etas, _recycled_etas
 from .qstate import Parity, StateVector, ZeroProbabilityError, project_parity
 
 QUADRATURE_TOL = 1e-6
 # below this |p_+ - p_-| / (kappa + kappa_s + gamma), gaussian_etas swaps p_+-
-# for contour nodes: their partial-fraction weights round off as ~1e-16 / gap**2
-# (kappa = 1), so 1e-2 keeps that near 1e-12.  The contour, of radius width/8,
-# encloses both poles with margin only for gaps well below 1/4
+# for contour nodes: their partial-fraction weights grow as 1 / gap, and so
+# does the rounding error of the averages (1.5e-14 at a gap of 1e-2, kappa = 1,
+# against a 50-digit evaluation).  The contour, of radius width/8, encloses
+# both poles with margin only for gaps well below 1/4
 _POLE_GAP_RTOL = 1e-2
 _CONTOUR_NODES = 64  # trapezoid nodes on that contour; error ~2**-64 at real omega
+# beyond this |p - mu| / Delta, a pole's Gaussian average is its value at mu
+_ASYMPTOTIC_RATIO = 1e8
 
 
-def _weideman(n: int) -> tuple[float, np.ndarray]:
+def _weideman(n: int) -> tuple[float, tuple[float, ...]]:
     """Scale L and the n polynomial coefficients (highest power first) of
     Weideman's rational approximation of the Faddeeva function."""
     m = 2 * n
@@ -84,25 +94,41 @@ def _weideman(n: int) -> tuple[float, np.ndarray]:
     # so that is a cosine series.  Summing it in plain floats keeps numpy.fft
     # and numpy's tan/exp/cos kernels out of the import, which measured
     # ~1 MB more resident memory in every process, pulse user or not.
-    return scale, np.array([
+    return scale, tuple(
         (scale ** 2 + 2.0 * sum(fk * math.cos(math.pi * k * j / m)
                                 for k, fk in enumerate(f, 1))) / (2 * m)
-        for j in range(n, 0, -1)])
+        for j in range(n, 0, -1))
 
 
 _W_SCALE, _W_COEFFS = _weideman(40)
+_SQRT_PI = math.sqrt(math.pi)
 
 
-def _faddeeva(z) -> np.ndarray:
+def _faddeeva(z):
     """w(z) = exp(-z**2) erfc(-iz) for Im z >= 0, to ~2e-14 relative.
 
-    Weideman, SIAM J. Numer. Anal. 31, 1497 (1994), with N = 40 terms.
+    Weideman, SIAM J. Numer. Anal. 31, 1497 (1994), with N = 40 terms.  The
+    same Horner loop serves a complex number (plain complex arithmetic) and
+    a numpy array (elementwise).
     """
-    z = np.asarray(z, dtype=complex)
     denom = _W_SCALE - 1j * z
     ratio = (_W_SCALE + 1j * z) / denom
-    poly = np.vander(ratio.ravel(), len(_W_COEFFS)) @ _W_COEFFS
-    return 2.0 * poly.reshape(z.shape) / denom ** 2 + 1.0 / (math.sqrt(math.pi) * denom)
+    poly = 0.0
+    for c in _W_COEFFS:
+        poly = poly * ratio + c
+    # two divisions, not denom**2, which overflows once |z| passes ~1e154
+    return 2.0 * poly / denom / denom + 1.0 / (_SQRT_PI * denom)
+
+
+def _mean_inverse(p: complex, mu: float, delta: float) -> complex:
+    """<1 / (omega - p)> over the Gaussian spectrum of center mu and
+    bandwidth delta, for a pole p below the real axis."""
+    gap = p - mu
+    if abs(gap) > _ASYMPTOTIC_RATIO * delta:
+        # w(z) = i / (sqrt(pi) z) to rounding: the next term is 1/(2 z**2)
+        # relative.  (p - mu) / delta itself may overflow here
+        return 1.0 / (mu - p)
+    return -1j * _SQRT_PI * _faddeeva((gap / delta).conjugate()).conjugate() / delta
 
 
 @dataclass(frozen=True)
@@ -168,8 +194,9 @@ def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas:
 
     Evaluates the spectral averages in closed form (see the module
     docstring) at every cavity, the exceptional point included; agrees
-    with ``pulse_etas`` to ~1e-12.  The grid fields ``n_points`` and
-    ``span`` of the spec serve only ``pulse_etas`` and are ignored here.
+    with ``pulse_etas`` to ~1e-12, the quadrature's own accuracy.  The grid
+    fields ``n_points`` and ``span`` of the spec serve only ``pulse_etas``
+    and are ignored here.
     Raises DegenerateRecycleError when the averaged eta_V reaches one.
     """
     p_a = params.omega_x - 0.5j * params.gamma
@@ -181,30 +208,34 @@ def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas:
     if 2.0 * abs(root) < _POLE_GAP_RTOL * width:
         # over trapezoid nodes on |z - mid| = width/8 (|Im mid| = width/4):
         # Cauchy's integral of c(z) = (z - p_A) / ((z - mid)**2 - root**2)
-        circle = width / 8 * np.exp(2j * math.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
-        nodes = mid + circle
-        weights = (nodes - p_a) * circle / (circle ** 2 - root ** 2) / _CONTOUR_NODES
+        circle = [width / 8 * cmath.exp(2j * math.pi * k / _CONTOUR_NODES)
+                  for k in range(_CONTOUR_NODES)]
+        nodes = [mid + r for r in circle]
+        weights = [(z - p_a) * r / (r * r - root * root) / _CONTOUR_NODES
+                   for z, r in zip(nodes, circle)]
     else:
         # over p_+-, with c_+ + c_- = 1
-        nodes = np.array([mid + root, mid - root])
+        nodes = [mid + root, mid - root]
         c_plus = (nodes[0] - p_a) / (2.0 * root)
-        weights = np.array([c_plus, 1.0 - c_plus])
-    poles = np.concatenate(([p_b], nodes))
-    empty = np.eye(1, poles.size)[0]
-    coupled = np.concatenate(([0.0], weights))
-    a_d = 0.5j * params.kappa * (empty - coupled)
-    a_s = -0.5j * params.kappa * (empty + coupled)
+        weights = [c_plus, 1.0 - c_plus]
+    # d = sum_k a_k / (omega - p_k) and s = 1 + sum_k b_k / (omega - p_k) over
+    # p_B and the nodes, with a = gain (e - c), b = -gain (e + c): e picks p_B
+    gain = 0.5j * params.kappa
+    poles = [p_b] + nodes
+    empty = [1.0] + [0.0] * len(nodes)
+    coupled = [0.0] + weights
     mu = params.omega_c + spec.center
-    zeta = np.conj((poles - mu) / spec.delta)
-    mean = -1j * math.sqrt(math.pi) * np.conj(_faddeeva(zeta)) / spec.delta
-    inverse_gaps = 1.0 / (poles[:, None] - np.conj(poles))
-
-    def mean_abs2(c: float, a: np.ndarray) -> float:
-        """<|c + sum_k a_k / (omega - p_k)|**2> over the pulse spectrum."""
-        reflected = np.conj(c) + inverse_gaps @ np.conj(a)
-        return abs(c) ** 2 + 2.0 * float(np.real(np.sum(a * reflected * mean)))
-
-    return _recycled_etas(mean_abs2(0.0, a_d), mean_abs2(1.0, a_s), "averaged eta_V")
+    sum_d = sum_s = 0j
+    for p, e, c in zip(poles, empty, coupled):
+        # f*(p) = conj(f(conj p)): one pair of closed forms at conj p serves
+        # the d and the s average
+        r0 = _reflection(params, p.conjugate(), coupled=False)
+        r1 = _reflection(params, p.conjugate(), coupled=True)
+        mean = _mean_inverse(p, mu, spec.delta)
+        sum_d += gain * (e - c) * ((r1 - r0) / 2).conjugate() * mean
+        sum_s += -gain * (e + c) * ((r1 + r0) / 2).conjugate() * mean
+    # <|f|**2> = |f(inf)|**2 + 2 Re sum_k a_k f*(p_k) <1 / (omega - p_k)>
+    return _recycled_etas(2.0 * sum_d.real, 1.0 + 2.0 * sum_s.real, "averaged eta_V")
 
 
 def pulse_etas(params: CavityParams, spec: PulseSpec) -> Etas:

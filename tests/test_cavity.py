@@ -5,6 +5,7 @@ evaluation of the closed form before this module was written.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestReflection:
             # vectorized complex division may differ from the scalar path by 1 ulp
             assert complex(r) == pytest.approx(
                 reflection(params.at_probe(w), coupled=True), abs=1e-14)
+
+    def test_scalar_path_gives_the_bits_of_the_spectrum_at_the_probe(self):
+        # reflection runs the shared formula in plain complex arithmetic and
+        # reflection_spectrum on a numpy array; both round the same way
+        rng = np.random.default_rng(19)
+        for i in range(400):
+            params = replace(random_params(rng), omega_probe=rng.uniform(-5, 5))
+            if i % 4 == 0:
+                params = replace(params, kappa_s=0.0)
+            for coupled in (False, True):
+                assert reflection(params, coupled) == complex(
+                    reflection_spectrum(params, params.omega_probe, coupled))
 
     @pytest.mark.parametrize("bad", [
         dict(gamma=0.0), dict(gamma=-1.0), dict(kappa=0.0), dict(kappa=-2.0),

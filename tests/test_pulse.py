@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 from spingate.cavity import CavityParams
 from spingate.gate import Etas, analytic_etas
 from spingate.cavity import reflection_pair
+from spingate.cli import main
 from spingate.pulse import (PulseSpec, QuadratureError, _faddeeva, gaussian_etas,
                             projected_spin_state, pulse_etas, spectral_grid)
 from spingate.qstate import Parity, StateVector, ZeroProbabilityError, fidelity, tensor
@@ -247,6 +249,134 @@ class TestGaussianEtas:
         contour = [gaussian_etas(params, pulse) for params, pulse in cases]
         for a, b in zip(poles, contour):
             assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-11
+
+
+def run_cli(args):
+    """The CLI in a child process, so that stderr holds every warning."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "spingate.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+class TestScalarPaths:
+    def test_scalar_faddeeva_matches_the_array_kernel(self):
+        rng = np.random.default_rng(41)
+        z = 10 ** rng.uniform(-3, 6, 300) * np.exp(1j * rng.uniform(0.0, math.pi, 300))
+        array = _faddeeva(z)
+        for zk, wk in zip(z, array):
+            scalar = _faddeeva(complex(zk))
+            assert type(scalar) is complex
+            assert abs(scalar - wk) <= 1e-15 * abs(wk)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_projected_state_rejects_a_nonfinite_frequency(self, omega):
+        state = tensor(StateVector.plus(), StateVector.plus())
+        with pytest.raises(ValueError):
+            projected_spin_state(unit_params(), omega, state, 0, 1, Parity.EVEN)
+
+    @pytest.mark.parametrize("delta", [1e-310, 1e-300, 1e-200, 1e-160, 1e-9])
+    def test_tiny_bandwidths_give_the_monochromatic_limit(self, delta):
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                params, spec = random_draw(rng)
+                center = params.omega_c + spec.center
+                got = gaussian_etas(params, replace(spec, delta=delta))
+                want = analytic_etas(reflection_pair(params.at_probe(center)))
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12
+
+    def test_cli_prints_the_limit_at_tiny_bandwidths_and_no_warning(self):
+        result = run_cli(["--axis", "bandwidth", "--grid", "1e-310,1e-300,1e-200,1e-160",
+                          "--outputs", "eta_S,pulse_eta_S", "--out", "-"])
+        assert (result.returncode, result.stderr) == (0, "")
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1e-310", "1e-300", "1e-200", "1e-160"]
+        # the pulse is centred on the resonant probe, so its limit is eta_S
+        assert all(row[2] == row[3] == "0.254901961" for row in rows)
+
+
+# CSV rows (bandwidth, eta_H, eta_V, eta_S, pulse_eta_S) of bandwidth sweeps
+# over 0.01, 0.1 and 1, keyed by (--kappa-ratio, --c, --detuning), as the
+# numpy-array closed forms printed them.  None of these cavities is near
+# the exceptional point, so every row takes the two-pole branch.
+PINNED_BANDWIDTH_ROWS = {
+    ("3", "0.25", "0"): (
+        "0.01,0.140625,0.015625,0.142857143,0.142350591",
+        "0.1,0.140625,0.015625,0.142857143,0.115442479",
+        "1,0.140625,0.015625,0.142857143,0.0391147307",
+    ),
+    ("3", "0.25", "0.1"): (
+        "0.01,0.0732275873,0.110772999,0.0823497118,0.142350591",
+        "0.1,0.0732275873,0.110772999,0.0823497118,0.115442479",
+        "1,0.0732275873,0.110772999,0.0823497118,0.0391147307",
+    ),
+    ("3", "1", "0"): (
+        "0.01,0.36,0.01,0.363636364,0.363471082",
+        "0.1,0.36,0.01,0.363636364,0.348487653",
+        "1,0.36,0.01,0.363636364,0.183452412",
+    ),
+    ("3", "1", "0.1"): (
+        "0.01,0.329507009,0.00893902175,0.332479047,0.363471082",
+        "0.1,0.329507009,0.00893902175,0.332479047,0.348487653",
+        "1,0.329507009,0.00893902175,0.332479047,0.183452412",
+    ),
+    ("13", "0.25", "0"): (
+        "0.01,0.215561224,0.154336735,0.254901961,0.25451533",
+        "0.1,0.215561224,0.154336735,0.254901961,0.231322741",
+        "1,0.215561224,0.154336735,0.254901961,0.12638663",
+    ),
+    ("13", "0.25", "0.1"): (
+        "0.01,0.112186207,0.420344257,0.19353937,0.25451533",
+        "0.1,0.112186207,0.420344257,0.19353937,0.231322741",
+        "1,0.112186207,0.420344257,0.19353937,0.12638663",
+    ),
+    ("13", "1", "0"): (
+        "0.01,0.551836735,0.0130612245,0.559139785,0.559034174",
+        "0.1,0.551836735,0.0130612245,0.559139785,0.549072117",
+        "1,0.551836735,0.0130612245,0.559139785,0.411757527",
+    ),
+    ("13", "1", "0.1"): (
+        "0.01,0.508986425,0.053946453,0.538010165,0.559034174",
+        "0.1,0.508986425,0.053946453,0.538010165,0.549072117",
+        "1,0.508986425,0.053946453,0.538010165,0.411757527",
+    ),
+    ("inf", "0.25", "0"): (
+        "0.01,0.25,0.25,0.333333333,0.333289266",
+        "0.1,0.25,0.25,0.333333333,0.330512154",
+        "1,0.25,0.25,0.333333333,0.316261326",
+    ),
+    ("inf", "0.25", "0.1"): (
+        "0.01,0.12993763,0.5997921,0.324675325,0.333289266",
+        "0.1,0.12993763,0.5997921,0.324675325,0.330512154",
+        "1,0.12993763,0.5997921,0.324675325,0.316261326",
+    ),
+    ("inf", "1", "0"): (
+        "0.01,0.64,0.04,0.666666667,0.666622258",
+        "0.1,0.64,0.04,0.666666667,0.662596907",
+        "1,0.64,0.04,0.666666667,0.625440498",
+    ),
+    ("inf", "1", "0.1"): (
+        "0.01,0.591715976,0.100591716,0.657894737,0.666622258",
+        "0.1,0.591715976,0.100591716,0.657894737,0.662596907",
+        "1,0.591715976,0.100591716,0.657894737,0.625440498",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BANDWIDTH_ROWS))
+def test_bandwidth_sweep_bytes_are_pinned(case, capsys):
+    kappa_ratio, cooperativity, detuning = case
+    code = main(["--axis", "bandwidth", "--grid", "0.01,0.1,1", "--kappa-ratio", kappa_ratio,
+                 "--c", cooperativity, "--detuning", detuning,
+                 "--outputs", "eta_H,eta_V,eta_S,pulse_eta_S", "--out", "-"])
+    assert code == 0
+    expected = ["axis,value,eta_H,eta_V,eta_S,pulse_eta_S,flag"] + [
+        f"bandwidth,{row}," for row in PINNED_BANDWIDTH_ROWS[case]]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_import_pulls_in_numpy_only():
