@@ -128,8 +128,9 @@ class ReflectionPair:
 
 
 def _reflection(params: CavityParams, omega, coupled: bool):
-    """The closed form at probe frequency ``omega``: a float gives a complex
-    number, an array an array."""
+    """The closed form at probe frequency ``omega``: a number gives a complex
+    number, an array an array.  A complex ``omega`` continues it off the
+    real axis, as ``pulse.gaussian_etas`` needs."""
     a = 1j * (params.omega_x - omega) + params.gamma / 2
     b = 1j * (params.omega_c - omega) + (params.kappa + params.kappa_s) / 2
     den = a * b + (params.g ** 2 if coupled else 0.0)
