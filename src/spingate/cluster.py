@@ -45,10 +45,12 @@ is the oracle every grow/connect path is checked against.
 A gate run succeeds with the same probability whatever the register
 holds, so the resource factory (``simulate_factory``) walks over chain
 lengths with runs drawn by ``gate.sample_runs`` and builds no register;
-``expected_gate_ops`` is its exact mean.  The walk reads the runs' success
-flags in plain loops, from whole batches each sized from that mean for the
-trials left.  ``sample_runs`` draws the same runs however a request is
-split into batches, so the batch size changes no count.
+``expected_gate_ops`` is its exact mean, computed once per call.  The walk
+reads the runs' success flags in plain loops, from whole batches each
+sized from that mean for the trials left; PAIRWISE reads its connections
+from a fixed plan, the post-order list of (left, right) chain lengths.
+``sample_runs`` draws the same runs however a request is split into
+batches, so the batch size changes no count.
 """
 
 from __future__ import annotations
@@ -315,12 +317,13 @@ class _RunReader:
 
     ``flags`` iterates over the current batch; the walk reads it with plain
     ``for`` loops and calls ``refill`` only once it has run dry.
+    ``per_trial`` is the mean gate operations of one trial (``math.inf``
+    when no run can succeed).
     """
 
-    def __init__(self, config: GateConfig, rng: np.random.Generator, target: int,
-                 strategy: GrowthStrategy, trials: int):
-        self.config, self.rng, self.target, self.strategy = config, rng, target, strategy
-        self.trials = trials
+    def __init__(self, config: GateConfig, rng: np.random.Generator, per_trial: float,
+                 trials: int):
+        self.config, self.rng, self.per_trial, self.trials = config, rng, per_trial, trials
         self.flags = iter(())
         self.drawn = 0      # runs drawn so far
         self.attempts = []  # their photon counts, one array per batch
@@ -340,9 +343,7 @@ class _RunReader:
         read, plus three square roots of that, and at most ``_MAX_BATCH``
         (the size used when no run can succeed)."""
         self.check_budget(self.drawn)
-        p = min(run_moments(self.config)[0], 1.0)  # p_unit may pass 1 by rounding
-        mean = (expected_gate_ops(self.target, p, self.strategy) * (self.trials - self.done)
-                if p > 0.0 else math.inf)
+        mean = self.per_trial * (self.trials - self.done)
         n = max(math.ceil(min(mean + 3.0 * math.sqrt(mean), _MAX_BATCH)), 1)
         outcome, attempts = sample_runs(self.config, n, self.rng)
         self.flags = iter((outcome == RunOutcome.SUCCESS).tolist())
@@ -363,15 +364,24 @@ def _grow_to(length: int, target: int, runs: _RunReader) -> None:
         runs.refill()
 
 
-def _build_pairwise(target: int, runs: _RunReader) -> None:
-    if target > 1:
-        left, right = (target + 1) // 2, target // 2
-        _build_pairwise(left, runs)
-        _build_pairwise(right, runs)
-        while True:
+def _pairwise_plan(target: int) -> list[tuple[int, int]]:
+    """The (left, right) chain lengths of every connection a PAIRWISE build
+    of ``target`` spins makes, in order: both halves' plans, then the
+    connection that joins them."""
+    if target == 1:
+        return []
+    left, right = (target + 1) // 2, target // 2
+    return _pairwise_plan(left) + _pairwise_plan(right) + [(left, right)]
+
+
+def _connect_all(plan: list[tuple[int, int]], runs: _RunReader) -> None:
+    for left, right in plan:
+        joined = False
+        while not joined:
             for success in runs.flags:
                 if success:
-                    return
+                    joined = True
+                    break
                 if left > 1:
                     # a failed connection costs each half one spin; regrowing
                     # them may refill, so read on from the current batch
@@ -391,32 +401,36 @@ def simulate_factory(target_length: int, config: GateConfig,
     SEQUENTIAL grows one chain spin by spin, re-preparing a single spin
     whenever failures wipe the chain out.  PAIRWISE builds two half-length
     chains recursively and connects them, regrowing the damaged halves
-    after a failed connection.  Photons and gate operations are counted
-    until the target length is first reached; a trial that spends more
-    than 1e6 gate operations raises RuntimeError.
+    after a failed connection; the walk reads its connections from a
+    fixed plan, built once per call.  Photons and gate operations are
+    counted until the target length is first reached; a trial that spends
+    more than 1e6 gate operations raises RuntimeError.
 
     The trials read gate runs in order from ``sample_runs`` batches, each
-    sized from the exact mean: ``expected_gate_ops`` times the trials
-    left, plus three square roots of that, and at most 2**16 runs.  A
-    trial's gate ops are the runs it read and its photons their attempts.
-    ``sample_runs`` draws the same runs whether asked for them at once or
-    in parts, so the batch sizes change no count, only where ``rng``
-    stands afterwards.
+    sized from the exact mean, which is computed once per call:
+    ``expected_gate_ops`` times the trials left, plus three square roots
+    of that, and at most 2**16 runs.  A trial's gate ops are the runs it
+    read and its photons their attempts.  ``sample_runs`` draws the same
+    runs whether asked for them at once or in parts, so the batch sizes
+    change no count, only where ``rng`` stands afterwards.
     """
     check_count("target_length", target_length, 1)
     if target_length > MAX_FACTORY_TARGET:
         raise ValueError(f"target length must be in [1, {MAX_FACTORY_TARGET}]")
     check_count("trials", trials, 1)
-    runs = _RunReader(config, rng, target_length, strategy, trials)
+    if not isinstance(strategy, GrowthStrategy):
+        raise TypeError(f"unknown strategy {strategy!r}")
+    p = min(run_moments(config)[0], 1.0)  # p_unit may pass 1 by rounding
+    per_trial = expected_gate_ops(target_length, p, strategy) if p > 0.0 else math.inf
+    runs = _RunReader(config, rng, per_trial, trials)
+    plan = _pairwise_plan(target_length) if strategy is GrowthStrategy.PAIRWISE else None
     ends = []  # run position after each trial
     for i in range(trials):
         runs.done = i
         if strategy is GrowthStrategy.SEQUENTIAL:
             _grow_to(1, target_length, runs)
-        elif strategy is GrowthStrategy.PAIRWISE:
-            _build_pairwise(target_length, runs)
         else:
-            raise TypeError(f"unknown strategy {strategy!r}")
+            _connect_all(plan, runs)
         end = runs.position()
         runs.check_budget(end)
         ends.append(end)

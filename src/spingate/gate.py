@@ -56,13 +56,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cavity import ReflectionPair
-from .qstate import Parity, StateVector, apply_1q, parity_weights, project_parity
+from .qstate import (Parity, StateVector, _project_parity, apply_1q, parity_weights,
+                     project_parity)
 
 _SUM_ATOL = 1e-12
 _DEGENERATE_ATOL = 1e-15
 # sample_runs draws at most max(runs left, this many) uniforms at a time,
 # so a row of long recycling runs stays small in memory
 _MAX_BLOCK = 1 << 16
+# the most uniforms sample_runs expects n + 3 sqrt(n) runs to need for it
+# to draw them in one block
+_ONE_BLOCK = 1 << 13
 # sample_runs counts a run's attempts, up to the cap max_recycles + 1, in int64
 _MAX_CAP = 2 ** 63 - 1
 
@@ -222,6 +226,13 @@ def _attempt_probabilities(config: GateConfig) -> tuple[float, float, float]:
 def single_shot_distribution(config: GateConfig, state: StateVector,
                              q1: int, q2: int) -> OutcomeDistribution:
     """Probabilities of the four single-photon outcomes for the current state."""
+    return _single_shot(config, state, q1, q2)[0]
+
+
+def _single_shot(config: GateConfig, state: StateVector, q1: int,
+                 q2: int) -> tuple[OutcomeDistribution, tuple[float, float]]:
+    """``single_shot_distribution`` and the (even, odd) parity weights it
+    splits the success clicks by."""
     try:
         w_even, w_odd = parity_weights(state, q1, q2)
         norm = math.sqrt(w_even + w_odd)  # the parity weights add up to ||psi||^2
@@ -235,7 +246,7 @@ def single_shot_distribution(config: GateConfig, state: StateVector,
     p_even = p_unit * w_even
     p_odd = p_unit * w_odd
     p_loss = 1.0 - (p_even + p_odd + p_recycle)
-    return OutcomeDistribution(p_even, p_odd, p_recycle, max(0.0, p_loss))
+    return OutcomeDistribution(p_even, p_odd, p_recycle, max(0.0, p_loss)), (w_even, w_odd)
 
 
 def run_moments(config: GateConfig) -> tuple[float, float]:
@@ -248,13 +259,17 @@ def run_moments(config: GateConfig) -> tuple[float, float]:
     ``sample_runs`` draws from.
     """
     p_unit, p_recycle, _ = _attempt_probabilities(config)
-    cap = config.max_recycles + 1
-    if p_recycle >= 1.0:
-        return 0.0, float(cap)
-    # 1 + v + ... + v**R, written to stay accurate for v close to one
-    v = p_recycle
-    mean_attempts = 1.0 if v == 0.0 else -math.expm1(cap * math.log(v)) / (1.0 - v)
-    return p_unit * mean_attempts, mean_attempts
+    mean_attempts = _mean_attempts(p_recycle, config.max_recycles + 1)
+    return (0.0 if p_recycle >= 1.0 else p_unit * mean_attempts), mean_attempts
+
+
+def _mean_attempts(v: float, cap: int) -> float:
+    """Mean photons of a run capped at ``cap`` attempts, each recycling
+    with probability v: 1 + v + ... + v**(cap - 1)."""
+    if v >= 1.0:
+        return float(cap)
+    # written to stay accurate for v close to one
+    return 1.0 if v == 0.0 else -math.expm1(cap * math.log(v)) / (1.0 - v)
 
 
 def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRuns:
@@ -271,22 +286,27 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
     nothing for it.
 
     Uniforms are drawn in blocks sized from ``run_moments``' mean photon
-    count: the first holds a little less than n runs need, each later one
-    a little more than the runs left need, and none more than
-    max(runs left, 2**16).  Giving the unused draws back restores the
-    generator to where it stood before the last block and draws again
-    only what the runs used of that block, which the sizing keeps small.
+    count.  When n + 3 sqrt(n) runs are expected to need at most 2**13
+    uniforms, the first block holds that many runs' worth, so a small
+    request almost always costs one block.  Otherwise the first holds a
+    little less than n runs need.  Each later block holds a little more
+    than the runs left need, and none more than max(runs left, 2**16).
+    Giving the unused draws back restores the generator to where it stood
+    before the last block and draws again only what the runs used of that
+    block, which the sizing keeps small.
     """
     p_unit, p_recycle, _ = _attempt_probabilities(config)
-    _, mean_attempts = run_moments(config)
     cap = config.max_recycles + 1
+    mean_attempts = _mean_attempts(p_recycle, cap)
     outcome = np.empty(n, dtype=np.int8)
     attempts = np.empty(n, dtype=np.int64)
     done = spent = 0  # runs finished; recycles already spent by the open run
     # in runs: 3 standard deviations of n runs' photon total, or more, as a
     # run's spread stays below its mean
     margin = 3.0 * math.sqrt(n)
-    wanted = n - margin if n > margin else n + margin  # runs the next block aims at
+    wanted = n + margin  # runs the next block aims at
+    if n > margin and wanted * mean_attempts > _ONE_BLOCK:
+        wanted = n - margin  # undershoot, so the replay of the last block stays small
     while done < n:
         block = min(max(math.ceil(wanted * mean_attempts), 1), max(n - done, _MAX_BLOCK))
         saved, first = rng.bit_generator.state, done
@@ -372,7 +392,7 @@ def run_gate(config: GateConfig, state: StateVector, q1: int, q2: int,
     # the distribution is identical on every attempt: a recycle leaves the
     # register untouched and Z errors change phases only, so the parity
     # weights cannot move until a projection ends the loop
-    dist = single_shot_distribution(config, state, q1, q2)
+    dist, (w_even, w_odd) = _single_shot(config, state, q1, q2)
     for _ in range(config.max_recycles + 1):
         attempts += 1
         u = rng.random()
@@ -385,7 +405,8 @@ def run_gate(config: GateConfig, state: StateVector, q1: int, q2: int,
         else:
             return GateResult(GateOutcome.FAILURE, attempts, current)
         if outcome is not None:
-            projected, _ = project_parity(current, q1, q2, outcome.parity)
+            kept = w_even if outcome is GateOutcome.EVEN else w_odd
+            projected, _ = _project_parity(current, q1, q2, outcome.parity, kept)
             projected = _apply_dephasing(projected, (q1, q2),
                                          config.dephasing_per_attempt, rng)
             return GateResult(outcome, attempts, projected)

@@ -25,7 +25,8 @@ writes one new array.  The layouts:
   the probability of the two kept slices only and writes them, signed
   and scaled, into a zeroed output.
 - ``collapse_z`` and ``measure_z`` read one slice of the one-qubit view.
-- ``tensor`` is the outer product of the two amplitude vectors.
+- ``tensor`` is the outer product of the two amplitude vectors, written
+  one row or column per entry of the shorter vector.
 - ``permute``, ``split`` and ``subsystem_fidelity`` use the
   ``(2**k, 2**(n-k))`` matrix whose rows run over the named qubits (a
   transpose copy when the order needs one).
@@ -217,6 +218,13 @@ def project_parity(state: StateVector, q1: int, q2: int,
     (the probability of the outcome).  Raises ZeroProbabilityError when
     that probability vanishes instead of returning a NaN state.
     """
+    return _project_parity(state, q1, q2, outcome, None)
+
+
+def _project_parity(state: StateVector, q1: int, q2: int, outcome: Parity,
+                    prob: float | None) -> tuple[StateVector, float]:
+    """``project_parity`` given the kept weight ``prob``, as
+    ``parity_weights`` gives it for ``outcome``; None computes it here."""
     view = _axes(state, q1, q2)
     if not isinstance(outcome, Parity):
         raise TypeError(f"outcome must be a Parity, got {outcome!r}")
@@ -226,7 +234,8 @@ def project_parity(state: StateVector, q1: int, q2: int,
     if q1 > q2:
         plus, minus = plus[::-1], minus[::-1]
     kept = view[:, plus[0], :, plus[1]], view[:, minus[0], :, minus[1]]
-    prob = _sq_norm(kept[0]) + _sq_norm(kept[1])
+    if prob is None:
+        prob = _sq_norm(kept[0]) + _sq_norm(kept[1])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"{outcome.value}-parity branch has zero probability")
     scale = 1.0 / math.sqrt(prob)
@@ -273,7 +282,17 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Join two registers; a's qubits become the most significant ones."""
     if a.n + b.n > MAX_QUBITS:
         raise ValueError(f"combined register would exceed {MAX_QUBITS} qubits")
-    return StateVector(a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
+    x, y = a.amps, b.amps
+    out = np.empty((x.size, y.size), dtype=np.result_type(x, y))
+    # one product per entry of the shorter operand: a 2-entry operand would
+    # otherwise run 2**n inner loops of length 2
+    if x.size <= y.size:
+        for i, xi in enumerate(x):
+            np.multiply(xi, y, out=out[i])
+    else:
+        for j, yj in enumerate(y):
+            np.multiply(x, yj, out=out[:, j])
+    return StateVector(a.n + b.n, out.reshape(-1))
 
 
 def permute(state: StateVector, order) -> StateVector:

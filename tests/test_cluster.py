@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
-from spingate.cluster import (ChainState, GrowthStrategy, add_fresh,
-                              canonical_cluster, chain_fidelity, connect_chains,
-                              expected_gate_ops, grow_chain, new_chain,
-                              simulate_factory)
-from spingate.gate import (GateConfig, GateOutcome, RunOutcome, analytic_etas, run_moments,
-                           sample_runs)
+from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, GrowthStrategy, _pairwise_plan,
+                              add_fresh, canonical_cluster, chain_fidelity, connect_chains,
+                              expected_gate_ops, grow_chain, new_chain, simulate_factory)
+from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
+                           analytic_etas, run_moments, sample_runs)
 from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, apply_1q,
                              fidelity, subsystem_fidelity, tensor)
 
@@ -530,6 +529,41 @@ class TestBatchedWalk:
         monkeypatch.setattr(spingate.cluster, "_MAX_OPS_PER_TRIAL", largest - 1)
         with pytest.raises(RuntimeError, match="budget"):
             run()
+
+
+def recursive_connections(target, made):
+    """The connections a recursive PAIRWISE build makes, in the order it makes them."""
+    if target > 1:
+        left, right = (target + 1) // 2, target // 2
+        recursive_connections(left, made)
+        recursive_connections(right, made)
+        made.append((left, right))
+    return made
+
+
+class TestPairwisePlan:
+    def test_plan_is_the_recursive_build_flattened(self):
+        for target in range(1, MAX_FACTORY_TARGET + 1):
+            plan = _pairwise_plan(target)
+            assert plan == recursive_connections(target, [])
+            assert len(plan) == target - 1
+            if target > 1:
+                assert plan[-1] == (math.ceil(target / 2), target // 2)
+
+    def test_strategy_is_checked_before_any_draw(self):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="strategy"):
+            simulate_factory(4, IDEAL, "pairwise_doubling", rng, trials=2)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_out_of_domain_gate_raises_at_every_target(self, strategy):
+        # eta_in < 1 on a strongly reflective pair: the branches sum past one
+        config = GateConfig(pair=ReflectionPair.from_coefficients(1.0, 1.0), eta_in=0.5)
+        for target in (1, 4):
+            with pytest.raises(ModelDomainError):
+                simulate_factory(target, config, strategy, np.random.default_rng(0), trials=1)
 
 
 # --- failures split off the spins they leave behind ------------------------------

@@ -193,6 +193,24 @@ class TestRunGate:
                 1.0, abs=1e-10)
         assert seen == {GateOutcome.EVEN, GateOutcome.ODD}
 
+    def test_projected_state_is_project_parity_bit_for_bit(self):
+        # run_gate projects with the weight single_shot_distribution found
+        rng = np.random.default_rng(7)
+        config = GateConfig(pair=paper_pair(1.0, 0.0))
+        orders = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            q1, q2 = (int(q) for q in rng.choice(n, size=2, replace=False))
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            result = run_gate(config, state, q1, q2, rng)
+            if result.outcome is GateOutcome.FAILURE:
+                continue
+            orders.add(q1 < q2)
+            expected, _ = project_parity(state, q1, q2, result.outcome.parity)
+            assert result.state.amps.tobytes() == expected.amps.tobytes()
+        assert orders == {True, False}
+
     def test_fidelity_independent_of_cavity_parameters(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

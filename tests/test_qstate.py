@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spingate.qstate import (EntangledCutError, Parity, SpinOutcome, StateVector,
-                             ZeroProbabilityError, apply_1q, collapse_z, fidelity,
-                             measure_z, parity_weights, permute, project_parity,
+                             ZeroProbabilityError, _project_parity, apply_1q, collapse_z,
+                             fidelity, measure_z, parity_weights, permute, project_parity,
                              split, subsystem_fidelity, tensor)
 
 SQRT_HALF = 1 / math.sqrt(2)
@@ -377,3 +377,38 @@ class TestSplitShortcut:
             remainder = [q for q in range(n) if q not in part]
             rebuilt = permute(tensor(sub, rest), np.argsort(part + remainder))
             assert fidelity(rebuilt, state) >= 1 - 1e-12
+
+
+class TestBitIdenticalShortcuts:
+    """Faster paths that must give exactly the bits of the plain ones."""
+
+    @pytest.mark.parametrize("outcome", list(Parity))
+    def test_projection_given_its_weight_is_project_parity(self, outcome):
+        rng = np.random.default_rng(61)
+        orders = {"q1 < q2": 0, "q1 > q2": 0}
+        for _ in range(60):
+            n = int(rng.integers(2, 11))
+            q1, q2 = (int(q) for q in rng.choice(n, size=2, replace=False))
+            orders["q1 < q2" if q1 < q2 else "q1 > q2"] += 1
+            state = random_state(rng, n)
+            weight = parity_weights(state, q1, q2)[outcome is Parity.ODD]
+            ours, ours_prob = _project_parity(state, q1, q2, outcome, weight)
+            theirs, prob = project_parity(state, q1, q2, outcome)
+            assert ours_prob == prob
+            assert ours.amps.tobytes() == theirs.amps.tobytes()
+        assert min(orders.values()) > 0
+
+    def test_projection_given_its_weight_keeps_the_zero_check(self):
+        state = StateVector.basis(3, 0b000)
+        with pytest.raises(ZeroProbabilityError):
+            _project_parity(state, 2, 0, Parity.ODD, parity_weights(state, 2, 0)[1])
+
+    def test_tensor_is_the_outer_product(self):
+        rng = np.random.default_rng(67)
+        for na in range(1, 8):
+            for nb in range(1, 8):
+                a, b = random_state(rng, na), random_state(rng, nb)
+                joined = tensor(a, b)
+                assert joined.n == na + nb
+                assert joined.amps.tobytes() == \
+                    np.multiply.outer(a.amps, b.amps).reshape(-1).tobytes()

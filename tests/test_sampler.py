@@ -6,14 +6,15 @@ The sampler also reads the same uniforms as ``run_gate``, so it must agree
 with a loop of ``run_gate`` calls run for run.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
-from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
-                           analytic_etas, run_gate, run_moments, sample_runs)
+from spingate.gate import (_ONE_BLOCK, GateConfig, GateOutcome, ModelDomainError,
+                           RunOutcome, analytic_etas, run_gate, run_moments, sample_runs)
 from spingate.qstate import StateVector, tensor
 from spingate.sweep import SweepAxis, SweepBaseline, SweepSpec, run_sweep
 
@@ -245,3 +246,40 @@ class TestSampleRunsBlocksAreRunGate:
         assert_same_runs(sample_runs(config, 1200, ours), run_gate_loop(config, 1200, theirs))
         assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
         assert ours.random() == theirs.random()
+
+
+def one_block_limit(config):
+    """The largest n whose n + 3 sqrt(n) runs ``sample_runs`` expects to fit
+    in ``_ONE_BLOCK`` uniforms, so that it draws them in one block."""
+    _, mean_attempts = run_moments(config)
+    n = int(_ONE_BLOCK / mean_attempts)
+    while (n + 3.0 * math.sqrt(n)) * mean_attempts > _ONE_BLOCK:
+        n -= 1
+    return n
+
+
+class TestOneBlockRequests:
+    """A small request costs one block and the replay of its used part."""
+
+    CONFIG = GateConfig(pair=MIXED, max_recycles=3)
+
+    def test_draw_counts_on_both_sides_of_the_limit(self):
+        limit = one_block_limit(self.CONFIG)
+        for n, seed in itertools.product((1, 40, 550, limit, limit + 1, 2 * limit), (0, 1)):
+            ours = RecordingGenerator(np.random.default_rng(seed))
+            sample_runs(self.CONFIG, n, ours)
+            if n <= limit:
+                assert len(ours.sizes) == 2, (n, ours.sizes)  # the block, then its replay
+                assert ours.sizes[1] < ours.sizes[0]
+            else:
+                assert len(ours.sizes) >= 3, (n, ours.sizes)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_runs_and_state_are_those_of_run_gate(self, bit_generator):
+        limit = one_block_limit(self.CONFIG)
+        for n in (limit, limit + 1):
+            ours = np.random.Generator(bit_generator(n))
+            theirs = np.random.Generator(bit_generator(n))
+            assert_same_runs(sample_runs(self.CONFIG, n, ours),
+                             run_gate_loop(self.CONFIG, n, theirs))
+            assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
