@@ -145,8 +145,24 @@ def _assemble(flags: dict):
     return spec, fmt, out
 
 
+def _join_grid(argv: list) -> list:
+    """``argv`` with each ``--grid`` token and a following value that starts
+    with a single "-" joined into one ``--grid=VALUE`` token.  Otherwise
+    argparse reads such a value as an option unless it is a plain negative
+    number, so ``--grid -2:2:1`` would fail where ``--grid=-2:2:1`` works."""
+    if "--grid" not in argv:
+        return argv
+    i = argv.index("--grid")
+    if "--" in argv[:i]:  # what follows "--" is never an option
+        return argv
+    value = argv[i + 1] if i + 1 < len(argv) else ""
+    if value.startswith("-") and not value.startswith("--"):
+        return argv[:i] + [f"--grid={value}"] + _join_grid(argv[i + 2:])
+    return argv[:i + 1] + _join_grid(argv[i + 1:])
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_grid(sys.argv[1:] if argv is None else list(argv)))
     try:
         spec, fmt, out = _assemble(vars(args))
     except ValueError as exc:  # a ConfigError, or a SweepBaseline or SweepSpec check

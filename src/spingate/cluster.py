@@ -6,13 +6,13 @@ A length-n chain is the state
 
 the usual 1D cluster.  Growth appends a fresh spin prepared in
 (up - down)/sqrt(2): run the gate on (last chain spin, fresh spin), then
-apply H (even herald) or H*X (odd herald) to the fresh spin; either way
-the chain is one spin longer.  The success feedback must target the fresh
-spin: a Hadamard on the old chain end would turn the bond to its
-predecessor into an X-type link (HZ = XH), and for chains longer than one
-the result would no longer be a cluster state of this form.  A failed
-gate costs one spin: measure the last chain spin in Z and, on the down
-outcome, apply Z to its predecessor.
+apply H (even herald) or H*X (odd herald, one kernel pass) to the fresh
+spin; either way the chain is one spin longer.  The success feedback must
+target the fresh spin: a Hadamard on the old chain end would turn the bond
+to its predecessor into an X-type link (HZ = XH), and for chains longer
+than one the result would no longer be a cluster state of this form.  A
+failed gate costs one spin: measure the last chain spin in Z and, on the
+down outcome, apply Z to its predecessor.
 
 Connecting chains M (length m) and N (length n) applies Z to M_m, runs
 the gate on (M_m, N_1), then applies the same H / H*X feedback to the
@@ -66,7 +66,7 @@ import numpy as np
 
 from .gate import (GateConfig, GateOutcome, GateResult, RunOutcome, check_count, run_gate,
                    run_moments, sample_runs)
-from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _frozen, apply_1q,
+from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _apply_xh, _frozen, apply_1q,
                      collapse_z, measure_z, split, subsystem_fidelity, tensor)
 from .qstate import permute  # noqa: F401  unused; the benchmark tracer wraps cluster.permute
 
@@ -94,11 +94,13 @@ class ChainState:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        labels = self.labels
+        if len(set(labels)) != len(labels):
             raise ValueError("chain labels must be distinct")
-        for q in self.labels:
-            if not 0 <= q < self.register.n:
-                raise ValueError(f"label {q} outside the register")
+        n = self.register.n
+        if labels and not (0 <= min(labels) and max(labels) < n):
+            bad = next(q for q in labels if not 0 <= q < n)
+            raise ValueError(f"label {bad} outside the register")
 
     @property
     def length(self) -> int:
@@ -209,7 +211,7 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
         state = apply_1q(result.state, fresh, "H")
         return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
     if result.outcome is GateOutcome.ODD:
-        state = apply_1q(apply_1q(result.state, fresh, "X"), fresh, "H")
+        state = _apply_xh(result.state, fresh)
         return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
     outcome, state = _measure(result.state, last, rng, force_measure)
     labels = chain.labels[:-1]
@@ -244,10 +246,10 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
         # the feedback spin must be the one without a further chain bond,
         # otherwise that bond turns X-type under the Hadamard
         target = n_first if n_chain.length == 1 else m_last
-        state = result.state
         if result.outcome is GateOutcome.ODD:
-            state = apply_1q(state, target, "X")
-        state = apply_1q(state, target, "H")
+            state = _apply_xh(result.state, target)
+        else:
+            state = apply_1q(result.state, target, "H")
         return ConnectResult(ChainState(state, m_labels + n_labels), None, result)
     forced_m, forced_n = force_measure
     out_m, state = _measure(result.state, m_last, rng, forced_m)

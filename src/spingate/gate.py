@@ -28,7 +28,10 @@ Only the split of p_even + p_odd depends on the register, so how a
 repeat-until-success run ends (success, loss, or the recycle cap) and how
 many photons it takes do not: ``sample_runs`` draws whole runs from the
 per-attempt probabilities without a register, and ``run_moments`` gives
-their exact success probability and mean photon count.
+their exact success probability and mean photon count.  That per-attempt
+law (p_unit, p_recycle, p_loss) is computed once per
+``GateConfig``, on first use, and ``run_gate``, ``sample_runs``,
+``run_moments`` and ``single_shot_distribution`` all read it.
 
 Two modelling notes:
 
@@ -136,6 +139,19 @@ class GateConfig:
             raise ValueError(f"max_recycles must be below {_MAX_CAP}, "
                              "so that max_recycles + 1 attempts fit a 64-bit count")
 
+    @property
+    def _law(self) -> tuple[float, float, float]:
+        """``_attempt_probabilities`` of this config, computed on the first
+        read and kept in the instance.  A ModelDomainError keeps nothing, so
+        it is raised again on every read; ``dataclasses.replace`` builds a
+        config with a law of its own.  (``functools.cached_property`` would
+        do the same, but its lock costs more than the law on a config read
+        once, as every sweep row's is.)"""
+        law = self.__dict__.get("_attempt_law")
+        if law is None:
+            law = self.__dict__["_attempt_law"] = _attempt_probabilities(self)
+        return law
+
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -226,13 +242,17 @@ def _attempt_probabilities(config: GateConfig) -> tuple[float, float, float]:
 def single_shot_distribution(config: GateConfig, state: StateVector,
                              q1: int, q2: int) -> OutcomeDistribution:
     """Probabilities of the four single-photon outcomes for the current state."""
-    return _single_shot(config, state, q1, q2)[0]
+    w_even, w_odd = _checked_weights(state, q1, q2)
+    p_unit, p_recycle, _ = config._law
+    p_even = p_unit * w_even
+    p_odd = p_unit * w_odd
+    p_loss = 1.0 - (p_even + p_odd + p_recycle)
+    return OutcomeDistribution(p_even, p_odd, p_recycle, max(0.0, p_loss))
 
 
-def _single_shot(config: GateConfig, state: StateVector, q1: int,
-                 q2: int) -> tuple[OutcomeDistribution, tuple[float, float]]:
-    """``single_shot_distribution`` and the (even, odd) parity weights it
-    splits the success clicks by."""
+def _checked_weights(state: StateVector, q1: int, q2: int) -> tuple[float, float]:
+    """The (even, odd) parity weights the success clicks split by, once
+    the state is checked to be normalized."""
     try:
         w_even, w_odd = parity_weights(state, q1, q2)
         norm = math.sqrt(w_even + w_odd)  # the parity weights add up to ||psi||^2
@@ -242,11 +262,7 @@ def _single_shot(config: GateConfig, state: StateVector, q1: int,
             raise
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    p_unit, p_recycle, _ = _attempt_probabilities(config)
-    p_even = p_unit * w_even
-    p_odd = p_unit * w_odd
-    p_loss = 1.0 - (p_even + p_odd + p_recycle)
-    return OutcomeDistribution(p_even, p_odd, p_recycle, max(0.0, p_loss)), (w_even, w_odd)
+    return w_even, w_odd
 
 
 def run_moments(config: GateConfig) -> tuple[float, float]:
@@ -258,7 +274,7 @@ def run_moments(config: GateConfig) -> tuple[float, float]:
     efficiency eta_H (1 - eta_V**(R+1)) / (1 - eta_V).  These are the laws
     ``sample_runs`` draws from.
     """
-    p_unit, p_recycle, _ = _attempt_probabilities(config)
+    p_unit, p_recycle, _ = config._law
     mean_attempts = _mean_attempts(p_recycle, config.max_recycles + 1)
     return (0.0 if p_recycle >= 1.0 else p_unit * mean_attempts), mean_attempts
 
@@ -295,7 +311,7 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
     before the last block and draws again only what the runs used of that
     block, which the sizing keeps small.
     """
-    p_unit, p_recycle, _ = _attempt_probabilities(config)
+    p_unit, p_recycle, _ = config._law
     cap = config.max_recycles + 1
     mean_attempts = _mean_attempts(p_recycle, cap)
     outcome = np.empty(n, dtype=np.int8)
@@ -387,29 +403,26 @@ def run_gate(config: GateConfig, state: StateVector, q1: int, q2: int,
 
     if rng is None:
         raise ValueError("rng is required unless the outcome is forced")
+    w_even, w_odd = _checked_weights(state, q1, q2)
+    p_unit, p_recycle, _ = config._law
+    # single_shot_distribution's thresholds, the same on every attempt: a
+    # recycle leaves the register untouched and Z errors change phases
+    # only, so the parity weights cannot move until a projection ends the loop
+    even = p_unit * w_even
+    success = even + p_unit * w_odd
+    kept = success + p_recycle
+    p = config.dephasing_per_attempt
     current = state
-    attempts = 0
-    # the distribution is identical on every attempt: a recycle leaves the
-    # register untouched and Z errors change phases only, so the parity
-    # weights cannot move until a projection ends the loop
-    dist, (w_even, w_odd) = _single_shot(config, state, q1, q2)
-    for _ in range(config.max_recycles + 1):
-        attempts += 1
+    for attempts in range(1, int(config.max_recycles) + 2):  # int: no int64 overflow
         u = rng.random()
-        if u < dist.p_even:
-            outcome = GateOutcome.EVEN
-        elif u < dist.p_even + dist.p_odd:
-            outcome = GateOutcome.ODD
-        elif u < dist.p_even + dist.p_odd + dist.p_recycle:
-            outcome = None  # recycle: register provably unchanged, retry
-        else:
+        if u < success:
+            outcome, weight = ((GateOutcome.EVEN, w_even) if u < even
+                               else (GateOutcome.ODD, w_odd))
+            projected, _ = _project_parity(current, q1, q2, outcome.parity, weight)
+            return GateResult(outcome, attempts,
+                              _apply_dephasing(projected, (q1, q2), p, rng))
+        if u >= kept:
             return GateResult(GateOutcome.FAILURE, attempts, current)
-        if outcome is not None:
-            kept = w_even if outcome is GateOutcome.EVEN else w_odd
-            projected, _ = _project_parity(current, q1, q2, outcome.parity, kept)
-            projected = _apply_dephasing(projected, (q1, q2),
-                                         config.dephasing_per_attempt, rng)
-            return GateResult(outcome, attempts, projected)
-        current = _apply_dephasing(current, (q1, q2),
-                                   config.dephasing_per_attempt, rng)
+        # recycle: register provably unchanged, retry
+        current = _apply_dephasing(current, (q1, q2), p, rng)
     return GateResult(GateOutcome.FAILURE, attempts, current)

@@ -19,7 +19,10 @@ writes one new array.  The layouts:
   product while the trailing axis holds at least 64 amplitudes; below
   that it writes the scaled sum and difference of the two slices, since
   a matrix product over a short trailing axis runs as 2**n / run tiny
-  batched products.
+  batched products.  X followed by H, the cluster layer's odd-herald
+  feedback, is one pass too: H on the view with its slices swapped.
+- Every view is one ``reshape`` of the amplitudes, its shape computed
+  directly from the qubit indices.
 - ``parity_weights`` and ``project_parity`` view it as
   ``(left, 2, mid, 2, right)``, lower qubit first.  The projector sums
   the probability of the two kept slices only and writes them, signed
@@ -150,14 +153,14 @@ def _axes(state: StateVector, *qubits: int) -> np.ndarray:
     for two, lower qubit first.  It shares memory with the state: never write to it."""
     for q in qubits:
         _check_qubit(state, q)
-    if len(set(qubits)) != len(qubits):
+    if len(qubits) == 1:
+        return state.amps.reshape(1 << qubits[0], 2, -1)
+    lo, hi = qubits
+    if lo == hi:
         raise ValueError(f"qubits must be distinct, got {qubits}")
-    shape, prev = [], -1
-    for q in sorted(qubits):
-        shape += [2 ** (q - prev - 1), 2]
-        prev = q
-    shape.append(2 ** (state.n - prev - 1))
-    return state.amps.reshape(shape)
+    if lo > hi:
+        lo, hi = hi, lo
+    return state.amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
 
 
 def _as_matrix(state: StateVector, qubits: list) -> np.ndarray:
@@ -181,21 +184,36 @@ def apply_1q(state: StateVector, qubit: int, gate: str) -> StateVector:
     view = _axes(state, qubit)
     if gate not in _GATES:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(_GATES)}")
-    if gate == "H" and view.shape[2] >= _MATMUL_MIN_TAIL:
-        return StateVector(state.n, (_HADAMARD @ view).reshape(-1))
+    if gate == "H":
+        return _hadamard(state.n, view)
     up, down = view[:, 0], view[:, 1]
     out = np.empty_like(view)
     if gate == "X":
         out[:, 0] = down
         out[:, 1] = up
-    elif gate == "Z":
+    else:
         out[:, 0] = up
         np.negative(down, out=out[:, 1])
-    else:
-        np.add(up, down, out=out[:, 0])
-        np.subtract(up, down, out=out[:, 1])
-        out *= _SQRT_HALF
     return StateVector(state.n, out.reshape(-1))
+
+
+def _apply_xh(state: StateVector, qubit: int) -> StateVector:
+    """``apply_1q`` with X and then H on one qubit, in one pass: H applied
+    to the view with its two slices swapped, bit for bit what the two
+    calls give."""
+    return _hadamard(state.n, _axes(state, qubit)[:, ::-1])
+
+
+def _hadamard(n: int, view: np.ndarray) -> StateVector:
+    """H on the middle axis of a one-qubit view, as ``apply_1q`` lays it out."""
+    if view.shape[2] >= _MATMUL_MIN_TAIL:
+        return StateVector(n, (_HADAMARD @ view).reshape(-1))
+    up, down = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    np.add(up, down, out=out[:, 0])
+    np.subtract(up, down, out=out[:, 1])
+    out *= _SQRT_HALF
+    return StateVector(n, out.reshape(-1))
 
 
 def _sq_norm(x: np.ndarray) -> float:

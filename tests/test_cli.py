@@ -135,6 +135,52 @@ class TestExitCodes:
         assert "workers" in capsys.readouterr().err
 
 
+class TestNegativeGrid:
+    """A grid value that starts with "-" may follow ``--grid`` as its own token."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("grid", ["-2:2:1", "-1,0.5", "-.5", "-2"])
+    def test_space_separated_value_matches_the_joined_form(self, capsys, grid):
+        flags = ["--axis", "detuning", "--c", "1", "--out", "-"]
+        spaced = self.run(flags[:2] + ["--grid", grid] + flags[2:], capsys)
+        joined = self.run(flags[:2] + [f"--grid={grid}"] + flags[2:], capsys)
+        assert spaced == joined
+        assert spaced[0] == EXIT_OK and spaced[1].startswith("axis,value,")
+
+    def test_every_grid_token_is_joined_and_the_last_wins(self, capsys):
+        flags = ["--axis", "detuning", "--out", "-"]
+        spaced = self.run(flags + ["--grid", "-1,0", "--grid", "-2:-1:1"], capsys)
+        assert spaced == self.run(flags + ["--grid=-2:-1:1"], capsys)
+        assert spaced[0] == EXIT_OK
+
+    def test_negative_range_from_a_fresh_process(self):
+        source_root = str(Path(spingate.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "spingate.cli", "--axis", "detuning", "--grid", "-2:2:1",
+             "--out", "-"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": source_root})
+        assert result.returncode == EXIT_OK
+        assert [line.split(",")[1] for line in result.stdout.splitlines()[1:]] == \
+            ["-2", "-1", "0", "1", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "detuning", "--grid", "--c", "1"],
+        ["--axis", "detuning", "--grid"],
+    ])
+    def test_a_missing_value_is_still_an_argparse_error(self, capsys, argv):
+        code, out, err = self.run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "argument --grid: expected one argument" in err
+
+
 class TestIntegerFields:
     MC = ["--axis", "kappa_ratio", "--grid", "13", "--outputs", "mc_eta_S", "--out", "-"]
 

@@ -18,7 +18,7 @@ from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, GrowthStrategy, _p
                               add_fresh, canonical_cluster, chain_fidelity, connect_chains,
                               expected_gate_ops, grow_chain, new_chain, simulate_factory)
 from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
-                           analytic_etas, run_moments, sample_runs)
+                           analytic_etas, run_gate, run_moments, sample_runs)
 from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, apply_1q,
                              fidelity, subsystem_fidelity, tensor)
 
@@ -165,6 +165,52 @@ class TestGrow:
         chain = build_chain(2)
         with pytest.raises(ValueError):
             grow_chain(chain, chain.labels[-1], IDEAL, force=EVEN)
+
+
+class TestFusedOddFeedback:
+    """The odd herald's X-then-H feedback runs as one kernel pass."""
+
+    def test_grow_feedback_is_x_then_h_bit_for_bit(self):
+        chain = build_chain(4)
+        for _ in range(6):
+            extended, fresh = add_fresh(chain)
+            chain = grow_chain(extended, fresh, IDEAL, force=ODD).chain
+            projected = run_gate(IDEAL, extended.register, extended.labels[-1], fresh,
+                                 force=ODD).state
+            two = apply_1q(apply_1q(projected, fresh, "X"), fresh, "H")
+            assert chain.register.amps.tobytes() == two.amps.tobytes()
+
+    def test_forced_odd_growth_keeps_the_cluster(self):
+        chain = new_chain()
+        while chain.length < 13:
+            extended, fresh = add_fresh(chain)
+            chain = grow_chain(extended, fresh, IDEAL, force=ODD).chain
+            assert chain_fidelity(chain) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (6, 1), (1, 6), (9, 1),
+                                      (1, 9)])
+    def test_forced_odd_end_connections_keep_the_cluster(self, m, n):
+        # (1, n) feeds back on qubit 0, so n >= 6 takes the matrix-product H
+        result = connect_chains(build_chain(m, ODD), build_chain(n, ODD), IDEAL, force=ODD)
+        assert result.chain.length == m + n
+        assert chain_fidelity(result.chain) >= 1.0 - 1e-12
+
+
+class TestChainLabels:
+    def test_first_label_outside_the_register_is_named(self):
+        register = tensor(StateVector.plus(), StateVector.plus())
+        for labels, bad in [((0, 2), 2), ((3, 1, -1), 3), ((-1, 5), -1)]:
+            with pytest.raises(ValueError, match=f"label {bad} outside the register"):
+                ChainState(register, labels)
+
+    def test_duplicates_are_reported_first(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ChainState(StateVector.plus(), (4, 4))
+
+    def test_empty_and_full_label_sets(self):
+        register = tensor(StateVector.plus(), StateVector.plus())
+        assert ChainState(register, ()).length == 0
+        assert ChainState(register, (1, 0)).labels == (1, 0)
 
 
 class TestConnect:

@@ -1,16 +1,20 @@
 """Heralded gate: analytic efficiencies, outcome sampling, recycling."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import spingate.gate
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
-from spingate.gate import (DegenerateRecycleError, GateConfig, GateOutcome,
-                           ModelDomainError, analytic_etas, run_gate,
-                           sample_runs, single_shot_distribution)
-from spingate.qstate import (Parity, StateVector, fidelity, project_parity,
-                             tensor)
+from spingate.cli import main
+from spingate.gate import (DegenerateRecycleError, GateConfig, GateOutcome, GateResult,
+                           ModelDomainError, OutcomeDistribution, analytic_etas, run_gate,
+                           run_moments, sample_runs, single_shot_distribution)
+from spingate.qstate import (Parity, StateVector, apply_1q, fidelity, parity_weights,
+                             project_parity, tensor)
 
 # eta_S for gamma/kappa = 0.1, kappa/kappa_s = 13, trion on cavity resonance;
 # cross-checked against an independent 50-digit evaluation
@@ -347,7 +351,158 @@ class TestDephasing:
         with pytest.raises(ValueError, match="max_recycles"):
             GateConfig(pair=ReflectionPair.ideal(), max_recycles=cap)
 
+    def test_largest_int64_max_recycles_runs_the_gate(self):
+        config = GateConfig(pair=ReflectionPair.ideal(), max_recycles=np.int64(2 ** 63 - 2))
+        result = run_gate(config, plus_plus(), 0, 1, np.random.default_rng(5))
+        assert result.outcome is not GateOutcome.FAILURE and result.attempts == 1
+
     def test_largest_max_recycles_samples_runs(self):
         config = GateConfig(pair=paper_pair(0.25, 0.1), max_recycles=2 ** 63 - 2)
         outcome, attempts = sample_runs(config, 100, np.random.default_rng(5))
         assert len(outcome) == 100 and attempts.min() >= 1
+
+
+def reference_run_gate(config, state, q1, q2, rng=None, force=None):
+    """``run_gate`` as its loop read with an ``OutcomeDistribution`` rebuilt
+    on every call, from the law written out here, and the thresholds summed
+    on every attempt."""
+    def dephase(state):
+        if config.dephasing_per_attempt == 0.0:
+            return state
+        for q in (q1, q2):
+            if rng.random() < config.dephasing_per_attempt / 2:
+                state = apply_1q(state, q, "Z")
+        return state
+
+    if force is not None:
+        if force is GateOutcome.FAILURE:
+            return GateResult(GateOutcome.FAILURE, 1, state)
+        return GateResult(force, 1, dephase(project_parity(state, q1, q2, force.parity)[0]))
+    w_even, w_odd = parity_weights(state, q1, q2)
+    eta_det, eta_in, pair = config.detector_efficiency, config.eta_in, config.pair
+    p_unit = eta_det * eta_in ** 2 * abs(pair.d) ** 2
+    p_recycle = eta_det * abs(eta_in * pair.s + math.sqrt(max(0.0, 1.0 - eta_in ** 2))) ** 2
+    p_even, p_odd = p_unit * w_even, p_unit * w_odd
+    dist = OutcomeDistribution(p_even, p_odd, p_recycle,
+                               max(0.0, 1.0 - (p_even + p_odd + p_recycle)))
+    current = state
+    attempts = 0
+    for _ in range(config.max_recycles + 1):
+        attempts += 1
+        u = rng.random()
+        if u < dist.p_even:
+            outcome = GateOutcome.EVEN
+        elif u < dist.p_even + dist.p_odd:
+            outcome = GateOutcome.ODD
+        elif u < dist.p_even + dist.p_odd + dist.p_recycle:
+            outcome = None
+        else:
+            return GateResult(GateOutcome.FAILURE, attempts, current)
+        if outcome is not None:
+            projected, _ = project_parity(current, q1, q2, outcome.parity)
+            return GateResult(outcome, attempts, dephase(projected))
+        current = dephase(current)
+    return GateResult(GateOutcome.FAILURE, attempts, current)
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+class TestRunGateTranscript:
+    """``run_gate`` reads the per-attempt law once per config; every
+    outcome, attempt count, amplitude and generator state stays that of
+    the loop that rebuilt the distribution on every call."""
+
+    @staticmethod
+    def transcript(fn, config, state, q1, q2, seed, force):
+        rng = np.random.default_rng(seed)
+        results = [fn(config, state, q1, q2, rng, force) for _ in range(8)]
+        return ([(r.outcome, r.attempts, r.state.n, r.state.amps.tobytes()) for r in results],
+                rng.bit_generator.state)
+
+    @pytest.mark.parametrize("dephasing", [0.0, 0.3])
+    @pytest.mark.parametrize("max_recycles", range(6))
+    def test_matches_the_reference_loop(self, dephasing, max_recycles):
+        rng = np.random.default_rng(100 + max_recycles)
+        orders = {"q1 < q2": 0, "q1 > q2": 0}
+        outcomes = set()
+        for trial in range(12):
+            pair = random_pair(rng) if trial % 3 else ReflectionPair.from_coefficients(1j, 1.0)
+            eta_in = 1.0 if trial % 2 else float(rng.uniform(0.8, 1.0))
+            config = GateConfig(pair=pair, eta_in=eta_in,
+                                detector_efficiency=float(rng.uniform(0.7, 1.0)),
+                                max_recycles=max_recycles, dephasing_per_attempt=dephasing)
+            try:
+                run_moments(config)
+            except ModelDomainError:
+                continue
+            n = int(rng.integers(2, 6))
+            q1, q2 = (int(q) for q in rng.choice(n, size=2, replace=False))
+            orders["q1 < q2" if q1 < q2 else "q1 > q2"] += 1
+            state = random_state(rng, n)
+            for force in (None, GateOutcome.EVEN, GateOutcome.ODD, GateOutcome.FAILURE):
+                seed = int(rng.integers(2 ** 32))
+                ours = self.transcript(run_gate, config, state, q1, q2, seed, force)
+                theirs = self.transcript(reference_run_gate, config, state, q1, q2, seed,
+                                         force)
+                assert ours == theirs
+                outcomes.update(o for o, *_ in ours[0])
+        assert min(orders.values()) > 0
+        assert outcomes == set(GateOutcome)
+
+
+def out_of_domain_config():
+    """C = 1, detuning 3, eta_in = 0.5: the branches sum past one."""
+    params = CavityParams.from_cooperativity(1.0, kappa_ratio=13.0, gamma=0.1,
+                                             probe_detuning=3.0)
+    return GateConfig(pair=reflection_pair(params), eta_in=0.5)
+
+
+class TestPerAttemptLaw:
+    @pytest.mark.parametrize("call", [
+        lambda c: run_gate(c, plus_plus(), 0, 1, np.random.default_rng(1)),
+        lambda c: sample_runs(c, 10, np.random.default_rng(1)),
+        run_moments,
+    ], ids=["run_gate", "sample_runs", "run_moments"])
+    def test_domain_error_is_raised_on_every_call(self, call):
+        config = out_of_domain_config()
+        for _ in range(2):
+            with pytest.raises(ModelDomainError, match="branch probabilities sum to"):
+                call(config)
+
+    def test_law_is_computed_once_per_config(self, monkeypatch):
+        calls = []
+        original = spingate.gate._attempt_probabilities
+        monkeypatch.setattr(spingate.gate, "_attempt_probabilities",
+                            lambda config: calls.append(config) or original(config))
+        config = GateConfig(pair=paper_pair(1.0, 0.0))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            run_gate(config, plus_plus(), 0, 1, rng)
+        sample_runs(config, 5, rng)
+        run_moments(config)
+        single_shot_distribution(config, plus_plus(), 0, 1)
+        assert len(calls) == 1
+
+    def test_replace_gets_a_law_of_its_own(self):
+        config = GateConfig(pair=out_of_domain_config().pair)
+        p_success, mean_attempts = run_moments(config)
+        half = dataclasses.replace(config, detector_efficiency=0.5)
+        assert run_moments(half)[0] < p_success
+        with pytest.raises(ModelDomainError):
+            run_moments(dataclasses.replace(config, eta_in=0.5))
+        assert run_moments(config) == (p_success, mean_attempts)
+        assert run_moments(dataclasses.replace(half, detector_efficiency=1.0)) == \
+            (p_success, mean_attempts)
+
+    def test_analytic_sweep_over_the_domain_edge_still_runs(self, capsys):
+        code = main(["--axis", "eta_in", "--grid", "0.5,0.9,1.0", "--c", "1",
+                     "--detuning", "3", "--outputs", "eta_S", "--out", "-"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "axis,value,eta_S,flag\n"
+            "eta_in,0.5,0.000452162198,\n"
+            "eta_in,0.9,0.000452162198,\n"
+            "eta_in,1,0.000452162198,\n")

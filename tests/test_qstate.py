@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spingate.qstate import (EntangledCutError, Parity, SpinOutcome, StateVector,
-                             ZeroProbabilityError, _project_parity, apply_1q, collapse_z,
+                             ZeroProbabilityError, _apply_xh, _axes, _project_parity,
+                             apply_1q, collapse_z,
                              fidelity, measure_z, parity_weights, permute, project_parity,
                              split, subsystem_fidelity, tensor)
 
@@ -412,3 +413,44 @@ class TestBitIdenticalShortcuts:
                 assert joined.n == na + nb
                 assert joined.amps.tobytes() == \
                     np.multiply.outer(a.amps, b.amps).reshape(-1).tobytes()
+
+    def test_fused_x_then_h_is_the_two_calls(self):
+        # n >= 7 reaches the matrix-product H on the leading qubits
+        rng = np.random.default_rng(71)
+        for n in range(1, 13):
+            state = random_state(rng, n)
+            for q in range(n):
+                fused = _apply_xh(state, q)
+                two = apply_1q(apply_1q(state, q, "X"), q, "H")
+                assert fused.n == n
+                assert fused.amps.tobytes() == two.amps.tobytes()
+
+    def test_fused_x_then_h_checks_the_qubit(self):
+        with pytest.raises(IndexError, match="qubit 2 out of range"):
+            _apply_xh(random_state(np.random.default_rng(0), 2), 2)
+
+    def test_views_are_the_per_qubit_shapes(self):
+        rng = np.random.default_rng(73)
+        for n in range(1, 9):
+            state = random_state(rng, n)
+            for q in range(n):
+                view = _axes(state, q)
+                assert view.shape == (2 ** q, 2, 2 ** (n - q - 1))
+                assert np.shares_memory(view, state.amps)
+            for q1 in range(n):
+                for q2 in range(n):
+                    if q1 == q2:
+                        continue
+                    lo, hi = sorted((q1, q2))
+                    view = _axes(state, q1, q2)
+                    assert view.shape == (2 ** lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi - 1))
+                    assert np.array_equal(view.reshape(-1), state.amps)
+
+    def test_views_check_range_before_distinctness(self):
+        state = random_state(np.random.default_rng(0), 3)
+        with pytest.raises(IndexError, match="qubit 3 out of range"):
+            _axes(state, 3, 3)
+        with pytest.raises(IndexError, match="qubit -1 out of range"):
+            _axes(state, -1, 5)
+        with pytest.raises(ValueError, match="distinct"):
+            _axes(state, 1, 1)
