@@ -1,7 +1,6 @@
 """Heralded gate: analytic efficiencies, outcome sampling, recycling."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -13,8 +12,8 @@ from spingate.cli import main
 from spingate.gate import (DegenerateRecycleError, GateConfig, GateOutcome, GateResult,
                            ModelDomainError, OutcomeDistribution, analytic_etas, run_gate,
                            run_moments, sample_runs, single_shot_distribution)
-from spingate.qstate import (Parity, StateVector, apply_1q, fidelity, parity_weights,
-                             project_parity, tensor)
+from spingate.qstate import (StateVector, apply_1q, fidelity, parity_weights, project_parity,
+                             tensor)
 
 # eta_S for gamma/kappa = 0.1, kappa/kappa_s = 13, trion on cavity resonance;
 # cross-checked against an independent 50-digit evaluation
