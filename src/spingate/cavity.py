@@ -100,26 +100,34 @@ class ReflectionPair:
     """Both reflection coefficients of one system plus the gate combinations.
 
     ``d = (r1 - r0)/2`` multiplies the heralded-success branch and
-    ``s = (r1 + r0)/2`` the recycle branch.  The parallelogram identity
+    ``s = (r1 + r0)/2`` the recycle branch.  Both are read-only properties
+    of the two coefficients, so the parallelogram identity
     ``|d|**2 + |s|**2 = (|r0|**2 + |r1|**2)/2`` holds by construction.
     """
 
     r0: complex
     r1: complex
-    d: complex
-    s: complex
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "r0", complex(self.r0))
+        object.__setattr__(self, "r1", complex(self.r1))
         for r in (self.r0, self.r1):
             if not (math.isfinite(r.real) and math.isfinite(r.imag)):
                 raise ValueError("reflection coefficients must be finite")
             if abs(r) > 1 + 1e-9:
                 raise ValueError("reflection coefficients must satisfy |r| <= 1")
 
+    @property
+    def d(self) -> complex:
+        return (self.r1 - self.r0) / 2
+
+    @property
+    def s(self) -> complex:
+        return (self.r1 + self.r0) / 2
+
     @classmethod
     def from_coefficients(cls, r0: complex, r1: complex) -> "ReflectionPair":
-        r0, r1 = complex(r0), complex(r1)
-        return cls(r0=r0, r1=r1, d=(r1 - r0) / 2, s=(r1 + r0) / 2)
+        return cls(r0, r1)
 
     @classmethod
     def ideal(cls) -> "ReflectionPair":

@@ -145,20 +145,23 @@ def _assemble(flags: dict):
     return spec, fmt, out
 
 
+_GRID_FLAGS = frozenset(("--gr", "--gri", "--grid"))  # "--g" is ambiguous with "--gamma"
+
+
 def _join_grid(argv: list) -> list:
-    """``argv`` with each ``--grid`` token and a following value that starts
-    with a single "-" joined into one ``--grid=VALUE`` token.  Otherwise
-    argparse reads such a value as an option unless it is a plain negative
-    number, so ``--grid -2:2:1`` would fail where ``--grid=-2:2:1`` works."""
-    if "--grid" not in argv:
-        return argv
-    i = argv.index("--grid")
-    if "--" in argv[:i]:  # what follows "--" is never an option
-        return argv
-    value = argv[i + 1] if i + 1 < len(argv) else ""
-    if value.startswith("-") and not value.startswith("--"):
-        return argv[:i] + [f"--grid={value}"] + _join_grid(argv[i + 2:])
-    return argv[:i + 1] + _join_grid(argv[i + 1:])
+    """``argv`` with each ``--grid`` token, or an abbreviation argparse
+    resolves to it, and a following value that starts with a single "-"
+    joined into one ``FLAG=VALUE`` token.  Otherwise argparse reads such a
+    value as an option unless it is a plain negative number, so
+    ``--grid -2:2:1`` would fail where ``--grid=-2:2:1`` works.  Tokens
+    after "--" are never options and stay as they are."""
+    for i, flag in enumerate(argv[:-1]):
+        if flag == "--":
+            break
+        value = argv[i + 1]
+        if flag in _GRID_FLAGS and value.startswith("-") and not value.startswith("--"):
+            return argv[:i] + [f"{flag}={value}"] + _join_grid(argv[i + 2:])
+    return argv
 
 
 def main(argv=None) -> int:

@@ -24,8 +24,8 @@ any local feedback splits it into a star junction: the result is an
 (m+n)-qubit graph state with one degree-3 vertex, not a linear cluster (a
 path state has no weight-2 stabilizer on the boundary pair, so no local
 operation can linearize it).  A failed connection damages both boundary
-spins; each end recovers by the measure-and-correct rule (for N_1, the
-mirror image: measure it and apply Z to N_2 on the down outcome), leaving
+spins; each end recovers by growth's measure-and-correct rule, M_m first
+(for N_1, the mirror image: measure it and apply Z to N_2 on down), leaving
 chains of lengths m-1 and n-1.
 
 A failure leaves every spin it takes out of the chain in a product state
@@ -48,7 +48,8 @@ lengths with runs drawn by ``gate.sample_runs`` and builds no register;
 ``expected_gate_ops`` is its exact mean, computed once per call.  The walk
 reads the runs' success flags in plain loops, from whole batches each
 sized from that mean for the trials left; PAIRWISE reads its connections
-from a fixed plan, the post-order list of (left, right) chain lengths.
+from a fixed plan, the post-order list of (left, right) chain lengths, and
+``expected_gate_ops`` sums its connection costs over that same list.
 ``sample_runs`` draws the same runs however a request is split into
 batches, so the batch size changes no count.
 """
@@ -162,14 +163,28 @@ def chain_fidelity(chain: ChainState) -> float:
                               canonical_cluster(chain.length))
 
 
-def _measure(state: StateVector, qubit: int, rng,
-             forced: Optional[SpinOutcome]) -> tuple[SpinOutcome, StateVector]:
+def _feedback(result: GateResult, qubit: int) -> StateVector:
+    """The success feedback on ``qubit``: H after an even herald, X then H
+    (one pass) after an odd one."""
+    if result.outcome is GateOutcome.ODD:
+        return _apply_xh(result.state, qubit)
+    return apply_1q(result.state, qubit, "H")
+
+
+def _measure_end(state: StateVector, end: tuple[int, ...], rng,
+                 forced: Optional[SpinOutcome]) -> StateVector:
+    """Failure recovery at the chain end ``end[0]`` (``end`` lists the chain
+    from there inwards): measure it in Z, as ``forced`` or drawn from
+    ``rng``, and on DOWN apply Z to its neighbour ``end[1]``, if any."""
     if forced is not None:
-        collapsed, _ = collapse_z(state, qubit, forced)
-        return forced, collapsed
-    if rng is None:
+        outcome, (state, _) = forced, collapse_z(state, end[0], forced)
+    elif rng is None:
         raise ValueError("rng is required unless the measurement outcome is forced")
-    return measure_z(state, qubit, rng)
+    else:
+        outcome, state = measure_z(state, end[0], rng)
+    if outcome is SpinOutcome.DOWN and len(end) > 1:
+        state = apply_1q(state, end[1], "Z")
+    return state
 
 
 def _drop(state: StateVector, labels: tuple[int, ...],
@@ -207,17 +222,11 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
         raise ValueError("fresh qubit must be a non-chain register qubit")
     last = chain.labels[-1]
     result = run_gate(config, chain.register, last, fresh, rng, force=force)
-    if result.outcome is GateOutcome.EVEN:
-        state = apply_1q(result.state, fresh, "H")
-        return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
-    if result.outcome is GateOutcome.ODD:
-        state = _apply_xh(result.state, fresh)
-        return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
-    outcome, state = _measure(result.state, last, rng, force_measure)
-    labels = chain.labels[:-1]
-    if outcome is SpinOutcome.DOWN and labels:
-        state = apply_1q(state, labels[-1], "Z")
-    return GrowResult(_drop(state, labels, (last, fresh)), result)
+    if result.outcome is not GateOutcome.FAILURE:
+        return GrowResult(ChainState(_feedback(result, fresh), chain.labels + (fresh,)),
+                          result)
+    state = _measure_end(result.state, chain.labels[::-1], rng, force_measure)
+    return GrowResult(_drop(state, chain.labels[:-1], (last, fresh)), result)
 
 
 def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
@@ -246,18 +255,11 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
         # the feedback spin must be the one without a further chain bond,
         # otherwise that bond turns X-type under the Hadamard
         target = n_first if n_chain.length == 1 else m_last
-        if result.outcome is GateOutcome.ODD:
-            state = _apply_xh(result.state, target)
-        else:
-            state = apply_1q(result.state, target, "H")
-        return ConnectResult(ChainState(state, m_labels + n_labels), None, result)
+        return ConnectResult(ChainState(_feedback(result, target), m_labels + n_labels),
+                             None, result)
     forced_m, forced_n = force_measure
-    out_m, state = _measure(result.state, m_last, rng, forced_m)
-    if out_m is SpinOutcome.DOWN and len(m_labels) >= 2:
-        state = apply_1q(state, m_labels[-2], "Z")
-    out_n, state = _measure(state, n_first, rng, forced_n)
-    if out_n is SpinOutcome.DOWN and len(n_labels) >= 2:
-        state = apply_1q(state, n_labels[1], "Z")
+    state = _measure_end(result.state, m_labels[::-1], rng, forced_m)
+    state = _measure_end(state, n_labels, rng, forced_n)
     m_register, n_register = split(state, tuple(range(offset)))
     part_m = _drop(m_register, m_labels[:-1], (m_last,))
     part_n = _drop(n_register, n_chain.labels[1:], (n_chain.labels[0],))
@@ -450,6 +452,10 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
     its mean attempts, this gives photons).  Growing from j to j + 1 spins
     takes h_j = (1 + (1 - p) h_{j-1}) / p operations on average, h_0 = 0,
     as a failure costs one spin (Barrett & Kok, PRA 71, 060310(R) (2005)).
+    SEQUENTIAL takes the sum of h_1 .. h_{target-1}.  PAIRWISE takes, for
+    each connection of ``_pairwise_plan(target)`` (the list its walk
+    reads) between chains of l and r spins, (1 + (1 - p)(h_{l-1} +
+    h_{r-1})) / p: a failed connection costs each side one spin.
     """
     if target < 1 or not 0.0 < p <= 1.0:
         raise ValueError("need target >= 1 and p in (0, 1]")
@@ -460,12 +466,5 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
         h.append((1.0 + (1.0 - p) * h[-1]) / p)
     if strategy is GrowthStrategy.SEQUENTIAL:
         return sum(h)
-
-    def pairwise(n: int) -> float:
-        if n == 1:
-            return 0.0
-        left, right = (n + 1) // 2, n // 2
-        connect = (1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
-        return pairwise(left) + pairwise(right) + connect
-
-    return pairwise(target)
+    return sum(((1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
+                for left, right in _pairwise_plan(target)), 0.0)

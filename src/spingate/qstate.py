@@ -15,11 +15,10 @@ Each kernel is one pass: it reads the amplitudes it needs about once and
 writes one new array.  The layouts:
 
 - ``apply_1q`` views the register as ``(2**q, 2, 2**(n-q-1))``.  X swaps
-  the two middle slices and Z negates the second.  H is one 2x2 matrix
-  product while the trailing axis holds at least 64 amplitudes; below
-  that it writes the scaled sum and difference of the two slices, since
-  a matrix product over a short trailing axis runs as 2**n / run tiny
-  batched products.  X followed by H, the cluster layer's odd-herald
+  the two middle slices and Z negates the second.  H writes the scaled
+  sum and difference of the two slices, at every qubit: a 2x2 matrix
+  product saves a few percent on a long trailing axis and is many times
+  slower on a short one.  X followed by H, the cluster layer's odd-herald
   feedback, is one pass too: H on the view with its slices swapped.
 - Every view is one ``reshape`` of the amplitudes, its shape computed
   directly from the qubit indices.
@@ -58,9 +57,6 @@ _ZERO_PROB = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _GATES = ("H", "X", "Z")
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF
-# shortest trailing axis on which apply_1q applies H as a matrix product
-_MATMUL_MIN_TAIL = 64
 
 
 class Parity(enum.Enum):
@@ -206,8 +202,6 @@ def _apply_xh(state: StateVector, qubit: int) -> StateVector:
 
 def _hadamard(n: int, view: np.ndarray) -> StateVector:
     """H on the middle axis of a one-qubit view, as ``apply_1q`` lays it out."""
-    if view.shape[2] >= _MATMUL_MIN_TAIL:
-        return StateVector(n, (_HADAMARD @ view).reshape(-1))
     up, down = view[:, 0], view[:, 1]
     out = np.empty_like(view)
     np.add(up, down, out=out[:, 0])

@@ -5,7 +5,7 @@ evaluation of the closed form before this module was written.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -158,6 +158,25 @@ class TestReflectionPair:
             rhs = (abs(pair.r0) ** 2 + abs(pair.r1) ** 2) / 2
             assert lhs == pytest.approx(rhs, abs=1e-12)
             assert lhs <= 1 + 1e-12
+
+    def test_the_two_coefficients_are_the_only_fields(self):
+        assert [f.name for f in fields(ReflectionPair)] == ["r0", "r1"]
+        with pytest.raises(TypeError):
+            ReflectionPair(r0=-1, r1=1, d=0, s=0)  # a d and s that contradict r0, r1
+        pair = ReflectionPair(-1, 1)
+        assert type(pair.r0) is type(pair.r1) is complex
+        assert pair == ReflectionPair.ideal()
+        with pytest.raises(AttributeError):
+            pair.d = 0
+
+    def test_combinations_are_the_half_sum_and_difference_bit_for_bit(self):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            params = random_params(rng)
+            r0, r1 = (complex(reflection(params, coupled=c)) for c in (False, True))
+            pair = reflection_pair(params)
+            assert np.complex128(pair.d).tobytes() == np.complex128((r1 - r0) / 2).tobytes()
+            assert np.complex128(pair.s).tobytes() == np.complex128((r1 + r0) / 2).tobytes()
 
     def test_rejects_unphysical_coefficients(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spingate
-from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _join_grid, main
 from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, emit_csv,
                             run_sweep)
 
@@ -179,6 +179,25 @@ class TestNegativeGrid:
         code, out, err = self.run(argv, capsys)
         assert code == 2 and out == ""
         assert "argument --grid: expected one argument" in err
+
+    @pytest.mark.parametrize("flag", ["--gr", "--gri", "--grid", "--gri=-2:2:1"])
+    def test_every_form_argparse_reads_as_grid_is_joined(self, capsys, flag):
+        flags = ["--axis", "detuning", "--out", "-"]
+        argv = flags + ([flag] if "=" in flag else [flag, "-2:2:1"])
+        result = self.run(argv, capsys)
+        assert result == self.run(flags + ["--grid=-2:2:1"], capsys)
+        assert result[0] == EXIT_OK
+
+    def test_a_prefix_shared_with_gamma_stays_ambiguous(self, capsys):
+        code, out, err = self.run(["--axis", "detuning", "--g", "-2:2:1", "--out", "-"],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert "ambiguous option: --g could match --grid, --gamma" in err
+
+    def test_tokens_after_the_separator_stay_untouched(self):
+        tail = ["--", "--grid", "-2:2:1", "--gr", "-1"]
+        assert _join_grid(["--axis", "detuning"] + tail) == ["--axis", "detuning"] + tail
+        assert _join_grid(["--gr", "-1"] + tail) == ["--gr=-1"] + tail
 
 
 class TestIntegerFields:

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
-from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, GrowthStrategy, _pairwise_plan,
-                              add_fresh, canonical_cluster, chain_fidelity, connect_chains,
+from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, ConnectResult, GrowResult,
+                              GrowthStrategy, _drop, _pairwise_plan, add_fresh,
+                              canonical_cluster, chain_fidelity, connect_chains,
                               expected_gate_ops, grow_chain, new_chain, simulate_factory)
 from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
                            analytic_etas, run_gate, run_moments, sample_runs)
-from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, apply_1q,
-                             fidelity, subsystem_fidelity, tensor)
+from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, _apply_xh, apply_1q,
+                             collapse_z, fidelity, measure_z, split, subsystem_fidelity,
+                             tensor)
 
 IDEAL = GateConfig(pair=ReflectionPair.ideal())
 EVEN, ODD, FAILURE = GateOutcome.EVEN, GateOutcome.ODD, GateOutcome.FAILURE
@@ -190,7 +192,7 @@ class TestFusedOddFeedback:
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (6, 1), (1, 6), (9, 1),
                                       (1, 9)])
     def test_forced_odd_end_connections_keep_the_cluster(self, m, n):
-        # (1, n) feeds back on qubit 0, so n >= 6 takes the matrix-product H
+        # (1, n) feeds back on qubit 0, whose view has the register's longest trailing axis
         result = connect_chains(build_chain(m, ODD), build_chain(n, ODD), IDEAL, force=ODD)
         assert result.chain.length == m + n
         assert chain_fidelity(result.chain) >= 1.0 - 1e-12
@@ -737,3 +739,164 @@ class TestSharedReadOnlyStates:
         np.testing.assert_allclose(tensor(cluster, minus).amps,
                                    np.multiply.outer(cluster.amps, minus.amps).ravel(),
                                    atol=1e-15)
+
+
+# --- one chain step against a transcript of the step it was written as ------------
+
+def transcript_measure(state, qubit, rng, forced):
+    if forced is not None:
+        collapsed, _ = collapse_z(state, qubit, forced)
+        return forced, collapsed
+    if rng is None:
+        raise ValueError("rng is required unless the measurement outcome is forced")
+    return measure_z(state, qubit, rng)
+
+
+def transcript_grow_chain(chain, fresh, config, rng=None, *, force=None, force_measure=None):
+    """``grow_chain`` with each rule written out in place, over the library kernels."""
+    if chain.length == 0:
+        raise ValueError("cannot grow an empty chain")
+    if not 0 <= fresh < chain.register.n or fresh in chain.labels:
+        raise ValueError("fresh qubit must be a non-chain register qubit")
+    last = chain.labels[-1]
+    result = run_gate(config, chain.register, last, fresh, rng, force=force)
+    if result.outcome is GateOutcome.EVEN:
+        state = apply_1q(result.state, fresh, "H")
+        return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
+    if result.outcome is GateOutcome.ODD:
+        state = _apply_xh(result.state, fresh)
+        return GrowResult(ChainState(state, chain.labels + (fresh,)), result)
+    outcome, state = transcript_measure(result.state, last, rng, force_measure)
+    labels = chain.labels[:-1]
+    if outcome is SpinOutcome.DOWN and labels:
+        state = apply_1q(state, labels[-1], "Z")
+    return GrowResult(_drop(state, labels, (last, fresh)), result)
+
+
+def transcript_connect_chains(m_chain, n_chain, config, rng=None, *, force=None,
+                              force_measure=(None, None)):
+    """``connect_chains`` with each rule written out in place, over the library kernels."""
+    if m_chain.length == 0 or n_chain.length == 0:
+        raise ValueError("cannot connect an empty chain")
+    offset = m_chain.register.n
+    register = tensor(m_chain.register, n_chain.register)
+    m_labels = m_chain.labels
+    n_labels = tuple(q + offset for q in n_chain.labels)
+    m_last, n_first = m_labels[-1], n_labels[0]
+    register = apply_1q(register, m_last, "Z")
+    result = run_gate(config, register, m_last, n_first, rng, force=force)
+    if result.outcome is not GateOutcome.FAILURE:
+        target = n_first if n_chain.length == 1 else m_last
+        if result.outcome is GateOutcome.ODD:
+            state = _apply_xh(result.state, target)
+        else:
+            state = apply_1q(result.state, target, "H")
+        return ConnectResult(ChainState(state, m_labels + n_labels), None, result)
+    forced_m, forced_n = force_measure
+    out_m, state = transcript_measure(result.state, m_last, rng, forced_m)
+    if out_m is SpinOutcome.DOWN and len(m_labels) >= 2:
+        state = apply_1q(state, m_labels[-2], "Z")
+    out_n, state = transcript_measure(state, n_first, rng, forced_n)
+    if out_n is SpinOutcome.DOWN and len(n_labels) >= 2:
+        state = apply_1q(state, n_labels[1], "Z")
+    m_register, n_register = split(state, tuple(range(offset)))
+    part_m = _drop(m_register, m_labels[:-1], (m_last,))
+    part_n = _drop(n_register, n_chain.labels[1:], (n_chain.labels[0],))
+    return ConnectResult(None, (part_m, part_n), result)
+
+
+def transcript_expected_gate_ops(target, p, strategy):
+    """``expected_gate_ops`` with PAIRWISE as a recursion over the two halves."""
+    h = [0.0]
+    for _ in range(1, target):
+        h.append((1.0 + (1.0 - p) * h[-1]) / p)
+    if strategy is GrowthStrategy.SEQUENTIAL:
+        return sum(h)
+
+    def pairwise(n):
+        if n == 1:
+            return 0.0
+        left, right = (n + 1) // 2, n // 2
+        connect = (1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
+        return pairwise(left) + pairwise(right) + connect
+
+    return pairwise(target)
+
+
+def assert_same_step(result, transcript):
+    assert result.gate.outcome is transcript.gate.outcome
+    assert result.gate.attempts == transcript.gate.attempts
+    chains = [(r.chain,) if r.chain is not None else r.parts for r in (result, transcript)]
+    assert len(chains[0]) == len(chains[1])
+    for got, want in zip(*chains):
+        assert got.labels == want.labels
+        assert got.register.n == want.register.n
+        assert got.register.amps.tobytes() == want.register.amps.tobytes()
+
+
+STEP_FORCES = [(EVEN, None), (ODD, None)] + [(FAILURE, m) for m in SpinOutcome]
+
+
+class TestChainStepTranscript:
+    @pytest.mark.parametrize("length", range(1, 9))
+    @pytest.mark.parametrize("force, measured", STEP_FORCES)
+    def test_forced_growth(self, length, force, measured):
+        extended, fresh = add_fresh(build_chain(length, ODD))
+        assert_same_step(
+            grow_chain(extended, fresh, IDEAL, force=force, force_measure=measured),
+            transcript_grow_chain(extended, fresh, IDEAL, force=force,
+                                  force_measure=measured))
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    @pytest.mark.parametrize("force, measured", STEP_FORCES)
+    def test_forced_connections_at_both_ends(self, length, force, measured):
+        chain = build_chain(length)
+        for pair in ((chain, new_chain()), (new_chain(), chain), (chain, build_chain(3))):
+            for n_measured in SpinOutcome:
+                forced = (measured, n_measured)
+                assert_same_step(
+                    connect_chains(*pair, IDEAL, force=force, force_measure=forced),
+                    transcript_connect_chains(*pair, IDEAL, force=force,
+                                              force_measure=forced))
+
+    def test_unforced_failures_without_rng_raise_the_same_error(self):
+        extended, fresh = add_fresh(build_chain(3))
+        message = "rng is required unless the measurement outcome is forced"
+        for step in (grow_chain, transcript_grow_chain):
+            with pytest.raises(ValueError, match=message):
+                step(extended, fresh, IDEAL, force=FAILURE)
+        for step in (connect_chains, transcript_connect_chains):
+            with pytest.raises(ValueError, match=message):
+                step(build_chain(2), build_chain(2), IDEAL, force=FAILURE,
+                     force_measure=(SpinOutcome.DOWN, None))
+
+    @pytest.mark.parametrize("dephasing", [0.0, 0.3])
+    def test_sampled_steps_draw_the_same_numbers(self, dephasing):
+        config = GateConfig(pair=LOSSY, dephasing_per_attempt=dephasing)
+        rng, transcript_rng = np.random.default_rng(11), np.random.default_rng(11)
+        chain, outcomes = new_chain(), set()
+        for _ in range(60):
+            extended, fresh = add_fresh(chain)
+            result = grow_chain(extended, fresh, config, rng)
+            assert_same_step(result, transcript_grow_chain(extended, fresh, config,
+                                                           transcript_rng))
+            outcomes.add(result.gate.outcome)
+            pairs = ((result.chain, new_chain()), (new_chain(), result.chain),
+                     (result.chain, result.chain))
+            for pair in pairs if result.chain.length else ():
+                joined = connect_chains(*pair, config, rng)
+                assert_same_step(joined, transcript_connect_chains(*pair, config,
+                                                                   transcript_rng))
+                outcomes.add(joined.gate.outcome)
+            assert rng.bit_generator.state == transcript_rng.bit_generator.state
+            chain = result.chain if 0 < result.chain.length < 8 else new_chain()
+        assert outcomes == {EVEN, ODD, FAILURE}
+
+    def test_expected_gate_ops_match_the_recursion(self):
+        for p in np.linspace(0.05, 1.0, 32).tolist():
+            for target in range(1, 201):
+                assert expected_gate_ops(target, p, GrowthStrategy.SEQUENTIAL) == \
+                    transcript_expected_gate_ops(target, p, GrowthStrategy.SEQUENTIAL)
+                assert expected_gate_ops(target, p, GrowthStrategy.PAIRWISE) == \
+                    pytest.approx(transcript_expected_gate_ops(
+                        target, p, GrowthStrategy.PAIRWISE), rel=1e-14, abs=0)

@@ -348,6 +348,21 @@ def schmidt_pair_state(rng, eps, k=3, m=4):
     return StateVector(k + m, amps), a0, b0
 
 
+class TestOneHadamardKernel:
+    def test_h_on_every_qubit_is_the_2x2_matrix_product(self):
+        rng = np.random.default_rng(79)
+        tails = set()
+        for n in range(1, 15):
+            state = random_state(rng, n)
+            for q in range(n):
+                view = state.amps.reshape(2 ** q, 2, -1)
+                tails.add(view.shape[2])
+                reference = (GATE_MATRICES["H"] @ view).reshape(-1)
+                np.testing.assert_allclose(apply_1q(state, q, "H").amps, reference,
+                                           rtol=0, atol=1e-15)
+        assert min(tails) == 1 and max(tails) == 2 ** 13
+
+
 class TestSplitShortcut:
     def test_cut_just_above_tolerance_is_entangled(self):
         rng = np.random.default_rng(51)
@@ -415,7 +430,7 @@ class TestBitIdenticalShortcuts:
                     np.multiply.outer(a.amps, b.amps).reshape(-1).tobytes()
 
     def test_fused_x_then_h_is_the_two_calls(self):
-        # n >= 7 reaches the matrix-product H on the leading qubits
+        # trailing axes from 1 to 2**11 amplitudes long
         rng = np.random.default_rng(71)
         for n in range(1, 13):
             state = random_state(rng, n)
