@@ -14,28 +14,32 @@ than one the result would no longer be a cluster state of this form.  A
 failed gate costs one spin: measure the last chain spin in Z and, on the
 down outcome, apply Z to its predecessor.
 
-Connecting chains M (length m) and N (length n) applies Z to M_m, runs
-the gate on (M_m, N_1), then applies the same H / H*X feedback to the
-boundary spin whose chain is a single qubit (N_1 when n == 1, else M_m).
-When either chain has length one this yields a linear cluster of the full
-length m + n.  When both chains have two or more spins, the parity
-projection fuses M_m and N_1 into one vertex carrying three bonds, and
-any local feedback splits it into a star junction: the result is an
-(m+n)-qubit graph state with one degree-3 vertex, not a linear cluster (a
-path state has no weight-2 stabilizer on the boundary pair, so no local
-operation can linearize it).  A failed connection damages both boundary
-spins; each end recovers by growth's measure-and-correct rule, M_m first
-(for N_1, the mirror image: measure it and apply Z to N_2 on down), leaving
-chains of lengths m-1 and n-1.
+Connecting chains M (length m) and N (length n) applies Z to M_m (on M's
+own register, before the join), runs the gate on (M_m, N_1), then applies
+the same H / H*X feedback to the boundary spin whose chain is a single
+qubit (N_1 when n == 1, else M_m).  When either chain has length one this
+yields a linear cluster of the full length m + n.  When both chains have
+two or more spins, the parity projection fuses M_m and N_1 into one vertex
+carrying three bonds, and any local feedback splits it into a star
+junction: the result is an (m+n)-qubit graph state with one degree-3
+vertex, not a linear cluster (a path state has no weight-2 stabilizer on
+the boundary pair, so no local operation can linearize it).  A failed
+connection damages both boundary spins; each end recovers by growth's
+measure-and-correct rule, M_m first (for N_1, the mirror image: measure it
+and apply Z to N_2 on down), leaving chains of lengths m-1 and n-1.
 
 A failure leaves every spin it takes out of the chain in a product state
 with the rest: a measured spin is a Z eigenstate, and a fresh spin that no
 parity projection touched has seen only dephasing Z flips, so it is
 (up - down) or (up + down) over sqrt(2).  Both failure paths therefore
-``split`` those spins off at once (the rank-1 shortcut always accepts such
-a cut, so no SVD runs) and renumber the remaining qubits in order.  A chain
-grown from ``new_chain`` thus lives in a register of its own length, plus
-the fresh spin during a growth step.  Qubits a caller put into a register
+take those spins out at once, by slicing (``_drop``, through
+``qstate._factor_out``), and renumber the remaining qubits in order; a
+failed grow measures its end spin straight out of the register
+(``qstate._measure_out``).  ``split`` is left the one cut that slicing
+cannot make, between the two chains of a failed connection, and any
+spin whose branches do not show a product.  A chain grown from
+``new_chain`` thus lives in a register of its own length, plus the fresh
+spin during a growth step.  Qubits a caller put into a register
 beyond the chain stay.  A register holds at least one qubit, so a chain
 that a failure empties keeps its measured spin when nothing else is left.
 
@@ -65,10 +69,11 @@ from typing import Optional
 
 import numpy as np
 
-from .gate import (GateConfig, GateOutcome, GateResult, RunOutcome, check_count, run_gate,
+from .gate import (_SUCCESS, GateConfig, GateOutcome, GateResult, check_count, run_gate,
                    run_moments, sample_runs)
-from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _apply_xh, _frozen, apply_1q,
-                     collapse_z, measure_z, split, subsystem_fidelity, tensor)
+from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _apply_xh, _factor_out, _frozen,
+                     _measure_out, apply_1q, collapse_z, measure_z, split, subsystem_fidelity,
+                     tensor)
 from .qstate import permute  # noqa: F401  unused; the benchmark tracer wraps cluster.permute
 
 MAX_FACTORY_TARGET = 10
@@ -172,14 +177,19 @@ def _feedback(result: GateResult, qubit: int) -> StateVector:
 
 
 def _measure_end(state: StateVector, end: tuple[int, ...], rng,
-                 forced: Optional[SpinOutcome]) -> StateVector:
+                 forced: Optional[SpinOutcome], remove: bool = False) -> StateVector:
     """Failure recovery at the chain end ``end[0]`` (``end`` lists the chain
     from there inwards): measure it in Z, as ``forced`` or drawn from
-    ``rng``, and on DOWN apply Z to its neighbour ``end[1]``, if any."""
-    if forced is not None:
-        outcome, (state, _) = forced, collapse_z(state, end[0], forced)
-    elif rng is None:
+    ``rng``, and on DOWN apply Z to its neighbour ``end[1]``, if any.
+    With ``remove`` the measured spin leaves the register at once
+    (``qstate._measure_out``) and the qubits after it move down by one."""
+    if forced is None and rng is None:
         raise ValueError("rng is required unless the measurement outcome is forced")
+    if remove:
+        outcome, state = _measure_out(state, end[0], rng, forced)
+        end = tuple(q - (q > end[0]) for q in end)
+    elif forced is not None:
+        outcome, (state, _) = forced, collapse_z(state, end[0], forced)
     else:
         outcome, state = measure_z(state, end[0], rng)
     if outcome is SpinOutcome.DOWN and len(end) > 1:
@@ -190,15 +200,26 @@ def _measure_end(state: StateVector, end: tuple[int, ...], rng,
 def _drop(state: StateVector, labels: tuple[int, ...],
           dead: tuple[int, ...]) -> ChainState:
     """The chain ``labels`` over ``state`` with the product qubits ``dead``
-    split off and the rest renumbered; when ``dead`` is the whole
-    register, its first qubit stays."""
+    taken out and the rest renumbered; when ``dead`` is the whole
+    register, its first qubit stays.
+
+    Each dead qubit in turn is sliced out by ``qstate._factor_out`` when
+    its branches show it is a product (a measured spin, a fresh spin no
+    projection touched); the first that does not, and all after it, go to
+    ``split``, which certifies the cut or raises ``EntangledCutError``.
+    """
     if len(dead) == state.n:
         dead = dead[1:]
-    if not dead:
-        return ChainState(state, labels)
-    _, rest = split(state, dead)
     kept = [q for q in range(state.n) if q not in dead]
-    return ChainState(rest, tuple(kept.index(q) for q in labels))
+    held = list(range(state.n))  # the qubits ``state`` still holds
+    for i, q in enumerate(dead):
+        rest = _factor_out(state, held.index(q))
+        if rest is None:
+            _, state = split(state, [held.index(d) for d in dead[i:]])
+            break
+        state = rest
+        held.remove(q)
+    return ChainState(state, tuple(kept.index(q) for q in labels))
 
 
 def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
@@ -208,13 +229,15 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     """Attempt to extend the chain by the fresh spin.
 
     On failure the chain shrinks by one (a length-1 chain becomes the
-    empty chain); the measured spin and the untouched fresh spin are split
-    off the register and the remaining qubits renumbered in order.
+    empty chain); the measured spin and the untouched fresh spin leave the
+    register and the remaining qubits are renumbered in order.  The
+    measured spin is measured out of the register directly, unless it is
+    all that would be left.
 
     ``fresh`` must be in a product state with the rest of the register, as
     ``add_fresh`` leaves it: a success needs that for the result to be a
-    cluster, and a failure that splits off a fresh spin entangled with
-    another qubit raises ``EntangledCutError``.
+    cluster, and a failure whose fresh spin is entangled with another
+    qubit raises ``EntangledCutError`` from ``split``.
     """
     if chain.length == 0:
         raise ValueError("cannot grow an empty chain")
@@ -225,8 +248,12 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     if result.outcome is not GateOutcome.FAILURE:
         return GrowResult(ChainState(_feedback(result, fresh), chain.labels + (fresh,)),
                           result)
-    state = _measure_end(result.state, chain.labels[::-1], rng, force_measure)
-    return GrowResult(_drop(state, chain.labels[:-1], (last, fresh)), result)
+    if result.state.n == 2:  # nothing else stays, so the measured spin does
+        state = _measure_end(result.state, chain.labels[::-1], rng, force_measure)
+        return GrowResult(_drop(state, chain.labels[:-1], (last, fresh)), result)
+    state = _measure_end(result.state, chain.labels[::-1], rng, force_measure, remove=True)
+    labels = tuple(q - (q > last) for q in chain.labels[:-1])
+    return GrowResult(_drop(state, labels, (fresh - (fresh > last),)), result)
 
 
 def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
@@ -245,11 +272,12 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
     if m_chain.length == 0 or n_chain.length == 0:
         raise ValueError("cannot connect an empty chain")
     offset = m_chain.register.n
-    register = tensor(m_chain.register, n_chain.register)
     m_labels = m_chain.labels
     n_labels = tuple(q + offset for q in n_chain.labels)
     m_last, n_first = m_labels[-1], n_labels[0]
-    register = apply_1q(register, m_last, "Z")
+    # Z on M_m over M's register, before the join: negation commutes with the
+    # product, so the amplitudes are equal (bits differ at most in a zero's sign)
+    register = tensor(apply_1q(m_chain.register, m_last, "Z"), n_chain.register)
     result = run_gate(config, register, m_last, n_first, rng, force=force)
     if result.outcome is not GateOutcome.FAILURE:
         # the feedback spin must be the one without a further chain bond,
@@ -350,7 +378,7 @@ class _RunReader:
         mean = self.per_trial * (self.trials - self.done)
         n = max(math.ceil(min(mean + 3.0 * math.sqrt(mean), _MAX_BATCH)), 1)
         outcome, attempts = sample_runs(self.config, n, self.rng)
-        self.flags = iter((outcome == RunOutcome.SUCCESS).tolist())
+        self.flags = iter((outcome == _SUCCESS).tolist())
         self.drawn += n
         self.attempts.append(attempts)
 

@@ -178,6 +178,10 @@ class RunOutcome(enum.IntEnum):
     CAP = 2      # max_recycles + 1 recycle clicks in a row
 
 
+# the codes as plain ints: numpy takes an IntEnum operand far more slowly
+_SUCCESS, _CAP = int(RunOutcome.SUCCESS), int(RunOutcome.CAP)
+
+
 class GateRuns(NamedTuple):
     """Outcome codes (``RunOutcome``, int8) and photons used (int64) of
     independent gate runs."""
@@ -340,7 +344,7 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
             # row end a CAP run, and the click's own run gets the rest
             capped = (steps - 1) // cap
             at = np.cumsum(capped + 1) - 1
-            codes = np.full(at[-1] + 1, RunOutcome.CAP, dtype=np.int8)
+            codes = np.full(at[-1] + 1, _CAP, dtype=np.int8)
             codes[at] = ends
             photons = np.full(at[-1] + 1, cap, dtype=np.int64)
             photons[at] = steps - capped * cap
@@ -352,7 +356,7 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
         # the recycles after the last click: whole CAP runs, then the open run
         tail = block - 1 - int(clicks[-1]) if clicks.size else spent + block
         take = min(tail // cap, n - done)
-        outcome[done:done + take] = RunOutcome.CAP
+        outcome[done:done + take] = _CAP
         attempts[done:done + take] = cap
         done += take
         if done == n:  # give back the draws past the end of run n

@@ -26,12 +26,25 @@ writes one new array.  The layouts:
   ``(left, 2, mid, 2, right)``, lower qubit first.  The projector sums
   the probability of the two kept slices only and writes them, signed
   and scaled, into a zeroed output.
-- ``collapse_z`` and ``measure_z`` read one slice of the one-qubit view.
+- ``collapse_z`` and ``measure_z`` read one slice of the one-qubit view
+  and write it, scaled, into a zeroed register.  The private
+  ``_measure_out`` returns that slice alone, bit for bit, as the register
+  without the measured qubit.
 - ``tensor`` is the outer product of the two amplitude vectors, written
   one row or column per entry of the shorter vector.
 - ``permute``, ``split`` and ``subsystem_fidelity`` use the
   ``(2**k, 2**(n-k))`` matrix whose rows run over the named qubits (a
-  transpose copy when the order needs one).
+  transpose copy when the order needs one).  ``subsystem_fidelity`` over
+  the whole register in order skips the matrix: one dot gives the same
+  bits.
+
+Two functions factor a register.  The private ``_factor_out``
+slices out one qubit whose branches show, by exact comparison, that it is
+a product: a Z eigenstate (one branch all zero) or an equal-weight
+up +- down (the branches exact +- copies).  That covers every spin a
+failed chain step removes, so the cluster layer calls ``split`` only for
+the cut between two joined chains after a failed connection, and for a
+qubit that ``_factor_out`` cannot place.
 
 ``split`` certifies a product before it factors anything: the matrix
 column with the largest norm is the candidate subsystem, and contracting
@@ -251,10 +264,25 @@ def _project_parity(state: StateVector, q1: int, q2: int, outcome: Parity,
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(f"{outcome.value}-parity branch has zero probability")
     scale = 1.0 / math.sqrt(prob)
-    out = np.zeros_like(view)
+    out = np.zeros(view.shape, view.dtype)
     np.multiply(kept[0], scale, out=out[:, plus[0], :, plus[1]])
     np.multiply(kept[1], -scale, out=out[:, minus[0], :, minus[1]])
     return StateVector(state.n, out.reshape(-1)), prob
+
+
+def _branch_prob(branch: np.ndarray, outcome: SpinOutcome) -> float:
+    """Squared norm of the branch a Z outcome keeps; ZeroProbabilityError
+    when it vanishes."""
+    prob = _sq_norm(branch)
+    if prob < _ZERO_PROB:
+        raise ZeroProbabilityError(f"branch {SpinOutcome(outcome).name} has zero probability")
+    return prob
+
+
+def _draw_z(view: np.ndarray, rng: np.random.Generator) -> SpinOutcome:
+    """One uniform draw: UP when it falls below the up-branch probability."""
+    p_up = _sq_norm(view[:, 0])
+    return SpinOutcome.UP if rng.random() < p_up else SpinOutcome.DOWN
 
 
 def collapse_z(state: StateVector, qubit: int,
@@ -265,10 +293,8 @@ def collapse_z(state: StateVector, qubit: int,
     zero-probability branch.
     """
     view = _axes(state, qubit)
-    prob = _sq_norm(view[:, outcome])
-    if prob < _ZERO_PROB:
-        raise ZeroProbabilityError(f"branch {SpinOutcome(outcome).name} has zero probability")
-    t = np.zeros_like(view)
+    prob = _branch_prob(view[:, outcome], outcome)
+    t = np.zeros(view.shape, view.dtype)
     np.multiply(view[:, outcome], 1.0 / math.sqrt(prob), out=t[:, outcome])
     return StateVector(state.n, t.reshape(-1)), prob
 
@@ -277,10 +303,52 @@ def measure_z(state: StateVector, qubit: int,
               rng: np.random.Generator) -> tuple[SpinOutcome, StateVector]:
     """Born-rule Z measurement: one uniform draw per call (outcome UP when
     the draw falls below the up-branch probability)."""
-    p_up = _sq_norm(_axes(state, qubit)[:, 0])
-    outcome = SpinOutcome.UP if rng.random() < p_up else SpinOutcome.DOWN
+    outcome = _draw_z(_axes(state, qubit), rng)
     collapsed, _ = collapse_z(state, qubit, outcome)
     return outcome, collapsed
+
+
+def _measure_out(state: StateVector, qubit: int, rng: np.random.Generator | None,
+                 forced: SpinOutcome | None) -> tuple[SpinOutcome, StateVector]:
+    """Z-measure one qubit of a register of two or more and remove it: the
+    outcome (``forced``, else drawn as ``measure_z`` draws it) and the
+    other qubits, in order.  Their amplitudes are the slice ``collapse_z``
+    keeps, bit for bit, without the zeroed register around it."""
+    view = _axes(state, qubit)
+    outcome = _draw_z(view, rng) if forced is None else forced
+    # one contiguous copy, then norm and scale in place: the bits
+    # ``collapse_z`` writes, without strided passes on a short trailing
+    # axis.  vdot reads a slice whose trailing axis is 1 in place, with its
+    # stride, and copies any other slice first, so the norm comes from the
+    # layout ``collapse_z``'s vdot reads.
+    branch = view[:, outcome]
+    kept = branch.copy()
+    kept *= 1.0 / math.sqrt(_branch_prob(branch if branch.shape[1] == 1 else kept, outcome))
+    return outcome, StateVector(state.n - 1, kept.reshape(-1))
+
+
+def _factor_out(state: StateVector, qubit: int) -> StateVector | None:
+    """The register without ``qubit`` when its two branches show by exact
+    comparison that it is in a product with the rest, else None.
+
+    A Z eigenstate has one branch exactly zero, and the rest is the other
+    branch, copied.  An equal-weight superposition up +- down has branches
+    that are exact +- copies of each other, and the rest is the up branch,
+    normalized.  Any other qubit is left to ``split``.
+    """
+    view = _axes(state, qubit)
+    up, down = view[:, 0], view[:, 1]
+    # the first amplitude of each branch picks the comparisons worth a pass
+    u, d = up[0, 0], down[0, 0]
+    if d == 0 and not down.any():
+        rest = up.copy()
+    elif u == 0 and not up.any():
+        rest = down.copy()
+    elif (u == d and (up == down).all()) or (u == -d and (up == -down).all()):
+        rest = up * (1.0 / math.sqrt(_sq_norm(up)))
+    else:
+        return None
+    return StateVector(state.n - 1, rest.reshape(-1))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -348,11 +416,14 @@ def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float
     """<target| rho |target> for the reduced state of `qubits` (in order).
 
     Equals the plain fidelity when the subsystem is in a pure product with
-    the rest of the register.
+    the rest of the register.  When `qubits` is the whole register in
+    order (every ``chain_fidelity`` call on a register that holds only its
+    chain) it is one ``np.vdot``, with the bits of the matrix form.
     """
     qubits = list(qubits)
-    mat = _as_matrix(state, qubits)
+    whole = qubits == list(range(state.n))
+    mat = None if whole else _as_matrix(state, qubits)
     if target.n != len(qubits):
         raise ValueError("target size must match the subsystem")
-    v = target.amps.conj() @ mat
+    v = np.vdot(target.amps, state.amps) if whole else target.amps.conj() @ mat
     return min(1.0, float(np.real(np.vdot(v, v))))

@@ -42,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams, reflection_pair
-from .gate import (DegenerateRecycleError, GateConfig, RunOutcome, analytic_etas,
-                   check_count, sample_runs)
+from .gate import (_SUCCESS, DegenerateRecycleError, GateConfig, analytic_etas, check_count,
+                   sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
 from .pulse import PulseSpec, gaussian_etas
 from .pulse import pulse_etas  # noqa: F401  unused; the benchmark tracer wraps sweep.pulse_etas
@@ -194,7 +194,7 @@ def _row_inputs(spec: SweepSpec, value: float
 
 def _monte_carlo(config: GateConfig, trials: int, rng) -> tuple[float, float, float]:
     outcome, attempts = sample_runs(config, trials, rng)
-    rate = np.count_nonzero(outcome == RunOutcome.SUCCESS) / trials
+    rate = np.count_nonzero(outcome == _SUCCESS) / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     return rate, stderr, int(attempts.sum()) / trials
 

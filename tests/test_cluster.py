@@ -900,3 +900,177 @@ class TestChainStepTranscript:
                 assert expected_gate_ops(target, p, GrowthStrategy.PAIRWISE) == \
                     pytest.approx(transcript_expected_gate_ops(
                         target, p, GrowthStrategy.PAIRWISE), rel=1e-14, abs=0)
+
+
+# --- failed steps slice out the spins known to be product --------------------------
+
+def split_drop(state, labels, dead):
+    """A failure's drop as ``split`` alone computes it: the reference for ``_drop``."""
+    if len(dead) == state.n:
+        dead = dead[1:]
+    if not dead:
+        return ChainState(state, labels)
+    _, rest = split(state, dead)
+    kept = [q for q in range(state.n) if q not in dead]
+    return ChainState(rest, tuple(kept.index(q) for q in labels))
+
+
+def split_grow_failure(chain, fresh, gate_state, rng, forced):
+    """A failed grow's recovery over the full register, dropping by ``split``;
+    also returns the measurement outcome."""
+    last = chain.labels[-1]
+    outcome, state = transcript_measure(gate_state, last, rng, forced)
+    labels = chain.labels[:-1]
+    if outcome is SpinOutcome.DOWN and labels:
+        state = apply_1q(state, labels[-1], "Z")
+    return split_drop(state, labels, (last, fresh)), outcome
+
+
+def clone(rng):
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def assert_dropped_like_split(chain, reference, dephasing):
+    assert_only_chain(chain)
+    assert chain.labels == reference.labels
+    assert chain.register.n == reference.register.n
+    assert fidelity(chain.register, reference.register) >= 1 - 1e-14
+    if dephasing == 0.0 and chain.length:
+        assert chain_fidelity(chain) >= 1 - 1e-12
+
+
+class TestFailuresSliceOutProductSpins:
+    """A failed grow drops its measured and fresh spins without ``split``."""
+
+    @pytest.fixture
+    def no_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("split called for a spin known to be product")
+
+        monkeypatch.setattr("spingate.cluster.split", refuse)
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        """The parts ``cluster`` asks ``split`` to cut off, in order."""
+        seen = []
+
+        def counting(state, part):
+            seen.append(tuple(part))
+            return split(state, part)
+
+        monkeypatch.setattr("spingate.cluster.split", counting)
+        return seen
+
+    @pytest.mark.parametrize("dephasing", [0.0, 0.3])
+    def test_forced_failures_at_every_length(self, no_split, dephasing):
+        # the ideal pair always succeeds, so a sampled grow adds one spin and
+        # its dephasing flips
+        config = GateConfig(pair=IDEAL.pair, dephasing_per_attempt=dephasing)
+        rng = np.random.default_rng(17)
+        chain = new_chain()
+        for length in range(1, 14):
+            extended, fresh = add_fresh(chain)
+            for measured in SpinOutcome:
+                result = grow_chain(extended, fresh, config, rng, force=FAILURE,
+                                    force_measure=measured)
+                reference, _ = split_grow_failure(extended, fresh, extended.register,
+                                                  None, measured)
+                assert result.chain.length == length - 1
+                assert_dropped_like_split(result.chain, reference, dephasing)
+            chain = grow_chain(extended, fresh, config, rng).chain
+            assert chain.length == length + 1
+
+    @pytest.mark.parametrize("dephasing", [0.0, 0.3])
+    def test_sampled_failures_at_every_length(self, no_split, dephasing):
+        # per run: success 0.81, loss 0.19
+        config = GateConfig(pair=ReflectionPair.from_coefficients(-0.9, 0.9),
+                            dephasing_per_attempt=dephasing)
+        rng = np.random.default_rng(19)
+        chain, seen = new_chain(), set()
+        for _ in range(3000):
+            extended, fresh = add_fresh(chain)
+            twin = clone(rng)
+            result = grow_chain(extended, fresh, config, rng)
+            if result.gate.outcome is FAILURE:
+                gate = run_gate(config, extended.register, extended.labels[-1], fresh, twin)
+                assert gate.outcome is FAILURE and gate.attempts == result.gate.attempts
+                reference, outcome = split_grow_failure(extended, fresh, gate.state, twin,
+                                                        None)
+                assert twin.bit_generator.state == rng.bit_generator.state
+                assert_dropped_like_split(result.chain, reference, dephasing)
+                seen.add((extended.length, outcome))
+            else:
+                assert_only_chain(result.chain)
+            chain = result.chain
+            if chain.length in (0, 14):
+                chain = new_chain()
+        assert seen == set(itertools.product(range(1, 14), SpinOutcome))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7)])
+    def test_a_failed_connection_splits_only_the_cut(self, m, n, cuts):
+        m_chain, n_chain = build_chain(m), build_chain(n)
+        for measured in itertools.product(SpinOutcome, repeat=2):
+            cuts.clear()
+            parts = connect_chains(m_chain, n_chain, IDEAL, force=FAILURE,
+                                   force_measure=measured).parts
+            assert cuts == [tuple(range(m))]
+            # the same boundary measurements, dropped by split alone
+            offset = m_chain.register.n
+            joined = apply_1q(tensor(m_chain.register, n_chain.register), m - 1, "Z")
+            _, state = transcript_measure(joined, m - 1, None, measured[0])
+            if measured[0] is SpinOutcome.DOWN and m > 1:
+                state = apply_1q(state, m - 2, "Z")
+            _, state = transcript_measure(state, offset, None, measured[1])
+            if measured[1] is SpinOutcome.DOWN and n > 1:
+                state = apply_1q(state, offset + 1, "Z")
+            m_register, n_register = split(state, tuple(range(offset)))
+            references = (split_drop(m_register, tuple(range(m - 1)), (m - 1,)),
+                          split_drop(n_register, tuple(range(1, n)), (0,)))
+            for part, reference in zip(parts, references):
+                assert_dropped_like_split(part, reference, 0.0)
+
+    def test_an_entangled_fresh_qubit_still_reaches_split(self, cuts):
+        bell = StateVector.from_amplitudes([math.sqrt(0.5), 0, 0, math.sqrt(0.5)])
+        chain = ChainState(tensor(bell, build_chain(3).register), (2, 3, 4))
+        with pytest.raises(EntangledCutError):
+            grow_chain(chain, 0, IDEAL, force=FAILURE, force_measure=SpinOutcome.UP)
+        assert cuts == [(0,)]
+
+
+class TestFlipBeforeTheJoin:
+    """``connect_chains`` applies Z to M_m before the tensor product."""
+
+    @pytest.mark.parametrize("branch", [EVEN, ODD])
+    def test_connections_equal_tensor_then_z(self, branch):
+        chains = [build_chain(length, branch) for length in range(1, 8)]
+        for m_chain, n_chain in itertools.product(chains, repeat=2):
+            for force, measured in STEP_FORCES:
+                forced = (measured, measured)
+                assert_same_step(
+                    connect_chains(m_chain, n_chain, IDEAL, force=force,
+                                   force_measure=forced),
+                    transcript_connect_chains(m_chain, n_chain, IDEAL, force=force,
+                                              force_measure=forced))
+
+    def test_the_joined_register_has_the_same_values(self):
+        # negation commutes with a product up to the sign of a zero: the
+        # joined amplitudes are equal, and their bits differ only where a
+        # real or imaginary part is zero
+        rng = np.random.default_rng(29)
+        parts = np.array([0.0, -0.0, 0.5, -0.5, 0.25])
+        for _ in range(300):
+            registers = []
+            for n in rng.integers(1, 5, size=2):
+                amps = np.empty(2 ** n, dtype=complex)
+                amps.real = parts[rng.integers(0, 5, size=2 ** n)]
+                amps.imag = parts[rng.integers(0, 5, size=2 ** n)]
+                registers.append(StateVector(int(n), amps))
+            m_register, n_register = registers
+            q = int(rng.integers(m_register.n))
+            first = tensor(apply_1q(m_register, q, "Z"), n_register).amps.view(float)
+            after = apply_1q(tensor(m_register, n_register), q, "Z").amps.view(float)
+            assert np.array_equal(first, after)
+            differ = np.signbit(first) != np.signbit(after)
+            assert not first[differ].any()

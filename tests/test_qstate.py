@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spingate.qstate import (EntangledCutError, Parity, SpinOutcome, StateVector,
-                             ZeroProbabilityError, _apply_xh, _axes, _project_parity,
-                             apply_1q, collapse_z,
+                             ZeroProbabilityError, _apply_xh, _as_matrix, _axes,
+                             _factor_out, _measure_out, _project_parity, apply_1q, collapse_z,
                              fidelity, measure_z, parity_weights, permute, project_parity,
                              split, subsystem_fidelity, tensor)
 
@@ -469,3 +469,121 @@ class TestBitIdenticalShortcuts:
             _axes(state, -1, 5)
         with pytest.raises(ValueError, match="distinct"):
             _axes(state, 1, 1)
+
+
+class TestWholeRegisterFidelity:
+    """``subsystem_fidelity`` over the whole register, in order, is one dot."""
+
+    @staticmethod
+    def matrix_form(state, qubits, target):
+        v = target.amps.conj() @ _as_matrix(state, list(qubits))
+        return min(1.0, float(np.real(np.vdot(v, v))))
+
+    def test_whole_register_is_the_matrix_form_bit_for_bit(self):
+        rng = np.random.default_rng(81)
+        for n in range(1, 17):
+            for k in range(6):
+                state, target = random_state(rng, n), random_state(rng, n)
+                if k % 2:  # a close target, as a chain check sees one
+                    near = state.amps + 1e-4 * target.amps
+                    target = StateVector(n, near / np.linalg.norm(near))
+                got = subsystem_fidelity(state, range(n), target)
+                assert got == self.matrix_form(state, range(n), target)
+
+    @pytest.mark.parametrize("qubits", [[1, 0, 2, 3], [3, 2, 1, 0], [0, 1], [2], [0, 2, 3]])
+    def test_reordered_and_partial_subsystems_keep_the_matrix_form(self, qubits,
+                                                                   monkeypatch):
+        rng = np.random.default_rng(83)
+        state, target = random_state(rng, 4), random_state(rng, len(qubits))
+        want = self.matrix_form(state, qubits, target)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return _as_matrix(*args)
+
+        monkeypatch.setattr("spingate.qstate._as_matrix", counting)
+        assert subsystem_fidelity(state, qubits, target) == want
+        assert calls == [qubits]
+        calls.clear()
+        subsystem_fidelity(state, range(4), random_state(rng, 4))
+        assert calls == []
+
+    def test_whole_register_keeps_the_size_check(self):
+        state = random_state(np.random.default_rng(85), 3)
+        with pytest.raises(ValueError, match="target size must match the subsystem"):
+            subsystem_fidelity(state, range(3), random_state(np.random.default_rng(0), 2))
+
+
+class TestMeasureOut:
+    """``_measure_out`` is ``collapse_z``'s kept slice without the zeroed register."""
+
+    def test_the_kept_slice_bit_for_bit(self):
+        rng = np.random.default_rng(87)
+        for n in range(2, 13):
+            state = random_state(rng, n)
+            for q in range(n):
+                for outcome in SpinOutcome:
+                    got, rest = _measure_out(state, q, None, outcome)
+                    collapsed, _ = collapse_z(state, q, outcome)
+                    kept = _axes(collapsed, q)[:, outcome].reshape(-1)
+                    assert got is outcome
+                    assert rest.n == n - 1
+                    assert rest.amps.tobytes() == kept.tobytes()
+
+    def test_a_draw_is_measure_z_s_draw(self):
+        rng = np.random.default_rng(89)
+        for n in range(2, 9):
+            state = random_state(rng, n)
+            for q in range(n):
+                seed = int(rng.integers(1 << 30))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, rest = _measure_out(state, q, ours, None)
+                outcome, collapsed = measure_z(state, q, theirs)
+                assert got is outcome
+                kept = _axes(collapsed, q)[:, outcome].reshape(-1)
+                assert rest.amps.tobytes() == kept.tobytes()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_an_empty_branch_raises(self):
+        with pytest.raises(ZeroProbabilityError, match="branch DOWN"):
+            _measure_out(StateVector.basis(3, 0b000), 1, None, SpinOutcome.DOWN)
+
+
+class TestFactorOut:
+    """``_factor_out`` slices out a qubit its branches show to be product."""
+
+    @staticmethod
+    def place(spin, rest, q):
+        """``rest`` with the one-qubit ``spin`` inserted at position q."""
+        order = list(range(1, q + 1)) + [0] + list(range(q + 1, rest.n + 1))
+        return permute(tensor(spin, rest), order)
+
+    @pytest.mark.parametrize("spin", [StateVector.basis(1, 0), StateVector.basis(1, 1),
+                                      StateVector.plus(), StateVector.minus()])
+    def test_product_spins_at_every_position(self, spin):
+        rng = np.random.default_rng(91)
+        for n in range(1, 11):
+            rest = random_state(rng, n)
+            for q in range(n + 1):
+                state = self.place(spin, rest, q)
+                got = _factor_out(state, q)
+                _, want = split(state, [q])
+                assert got.n == n
+                assert fidelity(got, want) >= 1 - 1e-14
+                assert got.norm() == pytest.approx(1.0, abs=1e-14)
+
+    def test_branches_that_start_at_zero(self):
+        # the first amplitude of each branch is zero: both signs are tried
+        for sign in (1, -1):
+            amps = np.array([0, 0.6, 0, 0.8j, 0, 0.6 * sign, 0, 0.8j * sign]) / math.sqrt(2)
+            state = StateVector.from_amplitudes(amps)
+            got = _factor_out(state, 0)
+            assert fidelity(got, split(state, [0])[1]) >= 1 - 1e-14
+
+    def test_other_qubits_are_left_to_split(self):
+        bell = StateVector.from_amplitudes([SQRT_HALF, 0, 0, SQRT_HALF])
+        assert _factor_out(bell, 0) is None
+        tilted = tensor(StateVector.single(0.6, 0.8j), StateVector.plus())
+        assert _factor_out(tilted, 0) is None
+        assert _factor_out(tilted, 1) is not None
