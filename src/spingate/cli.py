@@ -89,15 +89,18 @@ def _load_config(path: str) -> dict:
     return data
 
 
+_BASELINE_KEYS = frozenset(f.name for f in fields(SweepBaseline))
+_CONFIG_KEYS = _BASELINE_KEYS | {"axis", "grid", "outputs", "seed", "format", "out"}
+
+
 def _assemble(flags: dict):
     path = flags.pop("config", None)
     config = _load_config(path) if path else {}
-    baseline_keys = {f.name for f in fields(SweepBaseline)}
-    unknown = set(config) - baseline_keys - {"axis", "grid", "outputs", "seed", "format", "out"}
+    unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     settings = {**config, **flags}
-    fixed = SweepBaseline(**{k: v for k, v in settings.items() if k in baseline_keys})
+    fixed = SweepBaseline(**{k: v for k, v in settings.items() if k in _BASELINE_KEYS})
 
     axis_name = settings.get("axis")
     if axis_name is None:

@@ -43,8 +43,12 @@ with bounded weights, used in the same sums.  The closed form averages
 over the whole line, so it ignores the grid fields ``n_points`` and
 ``span`` of the spec.  It runs in plain Python complex arithmetic, with no
 numpy array: a call takes ~17 us for the three poles of most cavities and
-~0.35 ms for the 65 of a cavity inside the contour window (one core of a
-2-vCPU Xeon).
+~0.36 ms for the 65 of a cavity inside the contour window (one core of a
+2-vCPU Xeon).  Of that, the cavity's pole terms a_k f_d*(p_k) and
+b_k f_s*(p_k) take ~6 us (~0.14 ms) and do not depend on the pulse; the
+Faddeeva sums take the rest.  ``_pole_terms`` and ``_gaussian_average``
+are the two halves, so a caller that averages one cavity over many pulses
+computes the terms once.
 
 ``pulse_etas`` is the quadrature path, kept as the cross-check oracle: a
 midpoint rule on [mu - span*Delta, mu + span*Delta] with
@@ -196,9 +200,16 @@ def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas:
     docstring) at every cavity, the exceptional point included; agrees
     with ``pulse_etas`` to ~1e-12, the quadrature's own accuracy.  The grid
     fields ``n_points`` and ``span`` of the spec serve only ``pulse_etas``
-    and are ignored here.
+    and are ignored here.  ~17 us for most cavities; the module docstring
+    splits that between the pole terms and the Faddeeva sums.
     Raises DegenerateRecycleError when the averaged eta_V reaches one.
     """
+    return _gaussian_average(params, _pole_terms(params), spec)
+
+
+def _pole_terms(params: CavityParams) -> tuple[tuple[complex, complex, complex], ...]:
+    """(p_k, a_k f_d*(p_k), b_k f_s*(p_k)) for p_B and each coupled pole or
+    contour node p_k: the part of ``gaussian_etas`` that no pulse changes."""
     p_a = params.omega_x - 0.5j * params.gamma
     p_b = params.omega_c - 0.5j * (params.kappa + params.kappa_s)
     width = params.kappa + params.kappa_s + params.gamma
@@ -224,16 +235,26 @@ def gaussian_etas(params: CavityParams, spec: PulseSpec) -> Etas:
     poles = [p_b] + nodes
     empty = [1.0] + [0.0] * len(nodes)
     coupled = [0.0] + weights
-    mu = params.omega_c + spec.center
-    sum_d = sum_s = 0j
+    terms = []
     for p, e, c in zip(poles, empty, coupled):
         # f*(p) = conj(f(conj p)): one pair of closed forms at conj p serves
-        # the d and the s average
+        # the d and the s term
         r0 = _reflection(params, p.conjugate(), coupled=False)
         r1 = _reflection(params, p.conjugate(), coupled=True)
+        terms.append((p, gain * (e - c) * ((r1 - r0) / 2).conjugate(),
+                      -gain * (e + c) * ((r1 + r0) / 2).conjugate()))
+    return tuple(terms)
+
+
+def _gaussian_average(params: CavityParams, terms, spec: PulseSpec) -> Etas:
+    """``gaussian_etas`` from the cavity's ``_pole_terms``: one Faddeeva
+    evaluation per term."""
+    mu = params.omega_c + spec.center
+    sum_d = sum_s = 0j
+    for p, d_term, s_term in terms:
         mean = _mean_inverse(p, mu, spec.delta)
-        sum_d += gain * (e - c) * ((r1 - r0) / 2).conjugate() * mean
-        sum_s += -gain * (e + c) * ((r1 + r0) / 2).conjugate() * mean
+        sum_d += d_term * mean
+        sum_s += s_term * mean
     # <|f|**2> = |f(inf)|**2 + 2 Re sum_k a_k f*(p_k) <1 / (omega - p_k)>
     return _recycled_etas(2.0 * sum_d.real, 1.0 + 2.0 * sum_s.real, "averaged eta_V")
 

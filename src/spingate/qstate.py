@@ -66,6 +66,12 @@ import numpy as np
 MAX_QUBITS = 16
 NORM_ATOL = 1e-10
 _ZERO_PROB = 1e-24
+# BLAS hands a dot or matrix-vector product of more than about 10,000
+# entries to its threads, whose partial sums round differently from one
+# thread's and can stall for milliseconds.  Reductions over more entries
+# than this sum fixed chunks in order instead, so their bits do not depend
+# on the thread count and no call leaves the calling thread.
+_CHUNK = 1 << 13
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -110,7 +116,7 @@ class StateVector:
         n = int(arr.size).bit_length() - 1
         if arr.size < 2 or arr.size != 2 ** n:
             raise ValueError("amplitude count must be a power of two >= 2")
-        if abs(np.linalg.norm(arr) - 1.0) > NORM_ATOL:
+        if abs(_norm(arr) - 1.0) > NORM_ATOL:
             raise ValueError("amplitudes are not normalized")
         return StateVector(n, arr)
 
@@ -138,7 +144,7 @@ class StateVector:
         return _MINUS
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(_norm(self.amps))
 
 
 def _frozen(n: int, amps: np.ndarray) -> StateVector:
@@ -223,9 +229,45 @@ def _hadamard(n: int, view: np.ndarray) -> StateVector:
     return StateVector(n, out.reshape(-1))
 
 
+def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """``np.vdot(x, y)``; above ``_CHUNK`` entries, the sum in order of its
+    value over consecutive chunks of ``_CHUNK`` entries."""
+    if x.size <= _CHUNK:
+        return np.vdot(x, y)
+    x, y = x.reshape(-1), y.reshape(-1)
+    total = np.vdot(x[:_CHUNK], y[:_CHUNK])
+    for start in range(_CHUNK, x.size, _CHUNK):
+        total += np.vdot(x[start:start + _CHUNK], y[start:start + _CHUNK])
+    return total
+
+
 def _sq_norm(x: np.ndarray) -> float:
-    """Squared norm of a (possibly strided) view: one vdot, no abs()**2 temporaries."""
-    return float(np.vdot(x, x).real)
+    """Squared norm of a (possibly strided) view: one vdot per chunk, no
+    abs()**2 temporaries.  The small case skips the ``_vdot`` call: a chain
+    step takes hundreds of these norms."""
+    if x.size <= _CHUNK:
+        return float(np.vdot(x, x).real)
+    return float(_vdot(x, x).real)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector; above ``_CHUNK`` entries, the root of
+    ``_sq_norm``."""
+    return np.linalg.norm(x) if x.size <= _CHUNK else math.sqrt(_sq_norm(x))
+
+
+def _conj_matmul(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``v.conj() @ mat``; above ``_CHUNK`` entries of ``mat``, the sum in
+    order over row blocks of at most ``_CHUNK`` entries (one row when a row
+    is longer)."""
+    rows, cols = mat.shape
+    if rows * cols <= _CHUNK:
+        return v.conj() @ mat
+    step = max(1, _CHUNK // cols)
+    total = v[:step].conj() @ mat[:step]
+    for start in range(step, rows, step):
+        total += v[start:start + step].conj() @ mat[start:start + step]
+    return total
 
 
 def parity_weights(state: StateVector, q1: int, q2: int) -> tuple[float, float]:
@@ -355,7 +397,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|**2, global-phase invariant, clipped to [0, 1]."""
     if a.n != b.n:
         raise ValueError(f"register sizes differ: {a.n} != {b.n}")
-    return min(1.0, float(abs(np.vdot(a.amps, b.amps)) ** 2))
+    return min(1.0, float(abs(_vdot(a.amps, b.amps)) ** 2))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -401,15 +443,15 @@ def split(state: StateVector, part) -> tuple[StateVector, StateVector]:
     col_norms = (np.einsum("ij,ij->j", mat.real, mat.real)
                  + np.einsum("ij,ij->j", mat.imag, mat.imag))
     col = mat[:, np.argmax(col_norms)]
-    sub = col / np.linalg.norm(col)
-    comp = sub.conj() @ mat
+    sub = col / _norm(col)
+    comp = _conj_matmul(sub, mat)
     if 1.0 - _sq_norm(comp) > NORM_ATOL:
         u, sv, vh = np.linalg.svd(mat, full_matrices=False)
         if 1.0 - sv[0] ** 2 > NORM_ATOL:
             raise EntangledCutError("subsystem is entangled with its complement")
-        sub, comp = u[:, 0] / np.linalg.norm(u[:, 0]), vh[0]
+        sub, comp = u[:, 0] / _norm(u[:, 0]), vh[0]
     return (StateVector(len(part), sub),
-            StateVector(state.n - len(part), comp / np.linalg.norm(comp)))
+            StateVector(state.n - len(part), comp / _norm(comp)))
 
 
 def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float:
@@ -418,12 +460,15 @@ def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float
     Equals the plain fidelity when the subsystem is in a pure product with
     the rest of the register.  When `qubits` is the whole register in
     order (every ``chain_fidelity`` call on a register that holds only its
-    chain) it is one ``np.vdot``, with the bits of the matrix form.
+    chain) it is one ``np.vdot``, with the bits of the plain matrix form
+    ``target.amps.conj() @ mat``; so unlike the other reductions here it is
+    not summed in chunks, and above 10,000 amplitudes its bits follow the
+    BLAS thread count.
     """
     qubits = list(qubits)
     whole = qubits == list(range(state.n))
     mat = None if whole else _as_matrix(state, qubits)
     if target.n != len(qubits):
         raise ValueError("target size must match the subsystem")
-    v = np.vdot(target.amps, state.amps) if whole else target.amps.conj() @ mat
-    return min(1.0, float(np.real(np.vdot(v, v))))
+    v = np.vdot(target.amps, state.amps) if whole else _conj_matmul(target.amps, mat)
+    return min(1.0, _sq_norm(v))

@@ -9,22 +9,31 @@ are exact closed forms; Monte Carlo columns carry their binomial standard
 error and are reproducible: row i uses its own generator seeded with
 ``seed XOR i``, so a row's bytes do not depend on the other rows.
 
-``_row_inputs`` builds each row's library inputs in one place (baseline,
-``CavityParams``, ``GateConfig``, ``PulseSpec``), whichever columns the
-row prints, so their range checks reject a bad value on every sweep.
+``_row_inputs`` builds each row's library inputs in one place: the
+baseline, the cavity layer (``CavityParams`` and its reflection pair),
+the ``GateConfig`` and the ``PulseSpec``, whichever columns the row
+prints, so their range checks reject a bad value on every sweep.  A layer
+whose baseline fields leave the sweep axis out is built once per spec, on
+its first row, and shared by the rest: a bandwidth sweep builds one
+cavity and one config, an ``eta_in`` sweep one cavity and one pulse, and
+a shared cavity computes its analytic etas and its ``gaussian_etas`` pole
+terms once.  Its checks run on that first build; a layer the axis does
+change is still built, and checked, on every row.
 
 The analytic and pulse columns (``eta_H``, ``eta_V``, ``eta_S``,
 ``pulse_eta_S``) assume a perfectly coupled probe and a perfect detector,
 so they do not move along the ``eta_in`` axis or with
 ``detector_efficiency``; only the Monte Carlo columns see those losses.
 
-The Monte Carlo columns (``mc_eta_S``, ``mean_attempts``) draw whole gate
-runs from the per-attempt law (``gate.sample_runs``): success, recycle
-and loss probabilities that no register state changes, truncated at
+The Monte Carlo columns (``mc_eta_S``, its standard error ``mc_stderr``
+and ``mean_attempts``; any one of them runs the draws, and asking for
+``mc_eta_S`` adds ``mc_stderr``) draw whole gate runs from the
+per-attempt law (``gate.sample_runs``): success, recycle and loss
+probabilities that no register state changes, truncated at
 ``max_recycles``.  No state vector is built.  The sampler reads the same
 uniforms as a loop of ``gate.run_gate`` calls, so without dephasing the
 columns equal what that loop gives for the same seed.  Dephasing flips
-phases only, so it changes neither column; no column depends on it.
+phases only, so it changes none of them; no column depends on it.
 
 All numeric cells are quantized to 9 significant digits when the table is
 built, which makes emit -> parse -> emit the identity on bytes.
@@ -42,10 +51,10 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams, reflection_pair
-from .gate import (_SUCCESS, DegenerateRecycleError, GateConfig, analytic_etas, check_count,
-                   sample_runs)
+from .gate import (_SUCCESS, DegenerateRecycleError, Etas, GateConfig, analytic_etas,
+                   check_count, sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
-from .pulse import PulseSpec, gaussian_etas
+from .pulse import PulseSpec, _gaussian_average, _pole_terms
 from .pulse import pulse_etas  # noqa: F401  unused; the benchmark tracer wraps sweep.pulse_etas
 from .qstate import tensor  # noqa: F401  unused; the benchmark tracer wraps sweep.tensor
 
@@ -178,18 +187,84 @@ def grid_from_string(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+# The baseline fields each layer of a row reads.  The cavity layer is the
+# CavityParams with its reflection pair, analytic etas and gaussian_etas pole
+# terms.  A layer whose fields leave the axis out is the same on every row.
+# The config holds the cavity's pair, so its fields include the cavity's:
+# a config is shared only where its cavity is.
+_CAVITY_FIELDS = frozenset(("cooperativity", "kappa_ratio", "gamma", "detuning", "trion_offset"))
+_CONFIG_FIELDS = _CAVITY_FIELDS | {"eta_in", "detector_efficiency", "max_recycles", "dephasing"}
+_PULSE_FIELDS = frozenset(("bandwidth", "pulse_center"))
+_ANALYTIC = ("eta_H", "eta_V", "eta_S")
+_MONTE_CARLO = ("mc_eta_S", "mc_stderr", "mean_attempts")
+
+
+class _Cavity:
+    """A row's cavity layer: its ``CavityParams`` and reflection pair, with
+    the analytic cells and the ``gaussian_etas`` pole terms computed on
+    first read, so rows that share the layer share them too."""
+
+    __slots__ = ("params", "pair", "_analytic", "_terms")
+
+    def __init__(self, base: SweepBaseline) -> None:
+        self.params = CavityParams.from_cooperativity(
+            base.cooperativity, kappa_ratio=base.kappa_ratio, gamma=base.gamma,
+            probe_detuning=base.detuning, trion_offset=base.trion_offset)
+        self.pair = reflection_pair(self.params)
+        self._analytic = self._terms = None
+
+    def analytic(self) -> tuple[tuple, str]:
+        """The quantized ``eta_H``, ``eta_V`` and ``eta_S`` cells and the row
+        flag: a degenerate recycle leaves ``eta_S`` empty and flags the row."""
+        if self._analytic is None:
+            pair = self.pair
+            try:
+                etas = analytic_etas(pair)
+                values, flag = (etas.eta_h, etas.eta_v, etas.eta_s), ""
+            except DegenerateRecycleError:
+                values, flag = (abs(pair.d) ** 2, abs(pair.s) ** 2, None), _FLAG_DEGENERATE
+            self._analytic = tuple(map(quantize, values)), flag
+        return self._analytic
+
+    def averaged(self, pulse: PulseSpec) -> Etas:
+        """``gaussian_etas(self.params, pulse)``, bit for bit."""
+        if self._terms is None:
+            self._terms = _pole_terms(self.params)
+        return _gaussian_average(self.params, self._terms, pulse)
+
+
+def _layers(base: SweepBaseline, cavity: Optional[_Cavity] = None,
+            config: Optional[GateConfig] = None, pulse: Optional[PulseSpec] = None
+            ) -> tuple[_Cavity, GateConfig, PulseSpec]:
+    """Each layer not given, built from ``base`` in order, so the first
+    range check that fails is the one a row with no layer given meets."""
+    if cavity is None:
+        cavity = _Cavity(base)
+    if config is None:
+        config = GateConfig(pair=cavity.pair, eta_in=base.eta_in,
+                            detector_efficiency=base.detector_efficiency,
+                            max_recycles=base.max_recycles,
+                            dephasing_per_attempt=base.dephasing)
+    if pulse is None:
+        pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center)
+    return cavity, config, pulse
+
+
 def _row_inputs(spec: SweepSpec, value: float
-                ) -> tuple[SweepBaseline, CavityParams, GateConfig, PulseSpec]:
+                ) -> tuple[SweepBaseline, _Cavity, GateConfig, PulseSpec]:
+    """The baseline of the row at ``value`` and its layers.  The first row
+    of a spec builds every layer and keeps, in the spec, those whose fields
+    leave its axis out; later rows build only the others."""
     base = replace(spec.fixed, **{spec.axis.value: value})
-    params = CavityParams.from_cooperativity(
-        base.cooperativity, kappa_ratio=base.kappa_ratio, gamma=base.gamma,
-        probe_detuning=base.detuning, trion_offset=base.trion_offset)
-    config = GateConfig(pair=reflection_pair(params), eta_in=base.eta_in,
-                        detector_efficiency=base.detector_efficiency,
-                        max_recycles=base.max_recycles,
-                        dephasing_per_attempt=base.dephasing)
-    pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center)
-    return base, params, config, pulse
+    kept = spec.__dict__.get("_kept_layers")
+    if kept is not None:
+        return (base, *_layers(base, *kept))
+    layers = _layers(base)
+    axis = spec.axis.value
+    spec.__dict__["_kept_layers"] = tuple(
+        None if axis in names else layer
+        for names, layer in zip((_CAVITY_FIELDS, _CONFIG_FIELDS, _PULSE_FIELDS), layers))
+    return (base, *layers)
 
 
 def _monte_carlo(config: GateConfig, trials: int, rng) -> tuple[float, float, float]:
@@ -202,37 +277,27 @@ def _monte_carlo(config: GateConfig, trials: int, rng) -> tuple[float, float, fl
 def compute_row(spec: SweepSpec, index: int) -> dict:
     """One grid point; independent of every other row."""
     value = spec.grid[index]
-    base, params, config, pulse = _row_inputs(spec, value)
-    pair = config.pair
+    base, cavity, config, pulse = _row_inputs(spec, value)
     row = {c: None for c in spec.columns}
     row["axis"] = spec.axis.value
     row["value"] = quantize(value)
     row["flag"] = ""
     wants = set(spec.outputs)
-    if wants & {"eta_H", "eta_V", "eta_S"}:
-        try:
-            etas = analytic_etas(pair)
-            values = {"eta_H": etas.eta_h, "eta_V": etas.eta_v, "eta_S": etas.eta_s}
-        except DegenerateRecycleError:
-            values = {"eta_H": abs(pair.d) ** 2, "eta_V": abs(pair.s) ** 2, "eta_S": None}
-            row["flag"] = _FLAG_DEGENERATE
-        for name in ("eta_H", "eta_V", "eta_S"):
+    if not wants.isdisjoint(_ANALYTIC):
+        cells, row["flag"] = cavity.analytic()
+        for name, cell in zip(_ANALYTIC, cells):
             if name in wants:
-                row[name] = quantize(values[name])
-    if wants & {"mc_eta_S", "mean_attempts"}:
+                row[name] = cell
+    if not wants.isdisjoint(_MONTE_CARLO):
         rng = np.random.default_rng(spec.seed ^ index)
-        rate, stderr, mean_attempts = _monte_carlo(config, base.trials, rng)
-        if "mc_eta_S" in wants:
-            row["mc_eta_S"] = quantize(rate)
-            row["mc_stderr"] = quantize(stderr)
-        if "mean_attempts" in wants:
-            row["mean_attempts"] = quantize(mean_attempts)
+        mc = _monte_carlo(config, base.trials, rng)
+        for name, cell in zip(_MONTE_CARLO, mc):
+            if name in wants:
+                row[name] = quantize(cell)
     if "pulse_eta_S" in wants:
         try:
-            etas = gaussian_etas(params, pulse)
-            row["pulse_eta_S"] = quantize(etas.eta_s)
+            row["pulse_eta_S"] = quantize(cavity.averaged(pulse).eta_s)
         except DegenerateRecycleError:
-            row["pulse_eta_S"] = None
             row["flag"] = _FLAG_DEGENERATE
     return row
 

@@ -6,6 +6,7 @@ form (``gaussian_etas``) is checked against the quadrature, and its
 Faddeeva function against scipy's ``wofz`` when scipy is installed.
 """
 
+import cmath
 import math
 import os
 import subprocess
@@ -17,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spingate.cavity import CavityParams
-from spingate.gate import Etas, analytic_etas
+from spingate.cavity import CavityParams, _reflection
+from spingate.gate import Etas, _recycled_etas, analytic_etas
 from spingate.cavity import reflection_pair
 from spingate.cli import main
-from spingate.pulse import (PulseSpec, QuadratureError, _faddeeva, gaussian_etas,
-                            projected_spin_state, pulse_etas, spectral_grid)
+from spingate.pulse import (_CONTOUR_NODES, _POLE_GAP_RTOL, PulseSpec, QuadratureError,
+                            _faddeeva, _gaussian_average, _mean_inverse, _pole_terms,
+                            gaussian_etas, projected_spin_state, pulse_etas, spectral_grid)
 from spingate.qstate import Parity, StateVector, ZeroProbabilityError, fidelity, tensor
 from spingate.sweep import SweepAxis, SweepBaseline, SweepSpec, run_sweep
 
@@ -249,6 +251,68 @@ class TestGaussianEtas:
         contour = [gaussian_etas(params, pulse) for params, pulse in cases]
         for a, b in zip(poles, contour):
             assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-11
+
+
+def one_loop_gaussian_etas(params, spec):
+    """``gaussian_etas`` as one loop over the poles, each pole's closed forms
+    and Gaussian average together: the reference for the split form."""
+    p_a = params.omega_x - 0.5j * params.gamma
+    p_b = params.omega_c - 0.5j * (params.kappa + params.kappa_s)
+    width = params.kappa + params.kappa_s + params.gamma
+    mid = (p_a + p_b) / 2
+    root = cmath.sqrt(((p_a - p_b) / 2) ** 2 + params.g ** 2)
+    if 2.0 * abs(root) < _POLE_GAP_RTOL * width:
+        circle = [width / 8 * cmath.exp(2j * math.pi * k / _CONTOUR_NODES)
+                  for k in range(_CONTOUR_NODES)]
+        nodes = [mid + r for r in circle]
+        weights = [(z - p_a) * r / (r * r - root * root) / _CONTOUR_NODES
+                   for z, r in zip(nodes, circle)]
+    else:
+        nodes = [mid + root, mid - root]
+        c_plus = (nodes[0] - p_a) / (2.0 * root)
+        weights = [c_plus, 1.0 - c_plus]
+    gain = 0.5j * params.kappa
+    mu = params.omega_c + spec.center
+    sum_d = sum_s = 0j
+    for p, e, c in zip([p_b] + nodes, [1.0] + [0.0] * len(nodes), [0.0] + weights):
+        r0 = _reflection(params, p.conjugate(), coupled=False)
+        r1 = _reflection(params, p.conjugate(), coupled=True)
+        mean = _mean_inverse(p, mu, spec.delta)
+        sum_d += gain * (e - c) * ((r1 - r0) / 2).conjugate() * mean
+        sum_s += -gain * (e + c) * ((r1 + r0) / 2).conjugate() * mean
+    return _recycled_etas(2.0 * sum_d.real, 1.0 + 2.0 * sum_s.real, "averaged eta_V")
+
+
+class TestSplitForm:
+    """``gaussian_etas`` is the pole terms of the cavity, then one Faddeeva
+    sum per pulse; both give the bits of the one-loop form."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2024)
+        draws = [random_draw(rng) for _ in range(40)]
+        gaps = [(at_pole_gap(kappa_ratio, gap, side), pulse)
+                for kappa_ratio in (13.0, math.inf)
+                for gap, side in [(0.0, 1)] + [(g, s) for g in (1e-8, 1e-4, 1e-2, 2e-2, 1e-1)
+                                               for s in (1, -1)]
+                for pulse in EP_PULSES]
+        return draws + gaps
+
+    def test_cases_reach_the_contour_window(self):
+        windows = {len(_pole_terms(params)) for params, _ in self.cases()}
+        assert windows == {3, 1 + _CONTOUR_NODES}
+
+    def test_bit_for_bit_the_one_loop_form(self):
+        for params, spec in self.cases():
+            assert gaussian_etas(params, spec) == one_loop_gaussian_etas(params, spec)
+
+    def test_terms_serve_every_pulse(self):
+        pulses = [PulseSpec(delta=d, center=c) for d in (1e-3, 0.1, 1.0) for c in (0.0, 0.3)]
+        for params, _ in self.cases():
+            terms = _pole_terms(params)
+            for pulse in pulses:
+                assert _gaussian_average(params, terms, pulse) == \
+                    one_loop_gaussian_etas(params, pulse)
 
 
 def run_cli(args):

@@ -1,6 +1,10 @@
 """State-vector engine: gates, signed parity projectors, measurement."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,3 +591,38 @@ class TestFactorOut:
         tilted = tensor(StateVector.single(0.6, 0.8j), StateVector.plus())
         assert _factor_out(tilted, 0) is None
         assert _factor_out(tilted, 1) is not None
+
+
+# Reductions over a 15-qubit register, printed as hex floats and amplitude
+# digests: the same text in any process, whatever BLAS thread count it runs.
+_WIDE_PROBE = """
+import hashlib, math
+import numpy as np
+from spingate.qstate import (SpinOutcome, StateVector, collapse_z, fidelity,
+                             parity_weights, split, subsystem_fidelity, tensor)
+
+def wide(seed, n):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return StateVector(n, amps / math.sqrt(math.fsum(np.abs(amps) ** 2)))
+
+a, b = wide(1, 15), wide(2, 15)
+numbers = [fidelity(a, b), a.norm(), collapse_z(a, 3, SpinOutcome.UP)[1],
+           *parity_weights(a, 0, 14), subsystem_fidelity(a, range(14), wide(5, 14)),
+           subsystem_fidelity(a, [14], wide(6, 1))]
+parts = [*split(tensor(wide(3, 14), wide(4, 1)), range(14)),
+         *split(tensor(wide(4, 1), wide(3, 14)), [0])]
+lines = [float(x).hex() for x in numbers]
+lines += [hashlib.sha256(p.amps.tobytes()).hexdigest() for p in parts]
+"""
+
+
+def test_wide_reductions_do_not_depend_on_the_blas_thread_count():
+    probe = {}
+    exec(_WIDE_PROBE, probe)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", _WIDE_PROBE + "print('\\n'.join(lines))"],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == probe["lines"]

@@ -3,15 +3,15 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import spingate.sweep
-from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, compute_row,
-                            emit, emit_csv, emit_jsonl, emit_svg, grid_from_string,
-                            parse_csv, quantize, run_sweep)
+from spingate.sweep import (OUTPUT_COLUMNS, SweepAxis, SweepBaseline, SweepSpec, Table,
+                            _row_inputs, compute_row, emit, emit_csv, emit_jsonl, emit_svg,
+                            grid_from_string, parse_csv, quantize, run_sweep)
 
 ANALYTIC = ("eta_H", "eta_V", "eta_S")
 
@@ -132,6 +132,66 @@ class TestMonteCarloColumns:
         assert backwards[::-1] == list(run_sweep(spec).rows)
 
 
+ALL_AXES_GRIDS = {"kappa_ratio": (5.0, 13.0, 30.0), "cooperativity": (0.25, 1.0, 4.0),
+                  "detuning": (0.0, 0.5, 2.0), "bandwidth": (0.01, 0.1, 0.5),
+                  "eta_in": (0.6, 0.8, 1.0)}
+
+
+def every_column_spec(axis, **kwargs):
+    return SweepSpec(axis=axis, grid=ALL_AXES_GRIDS[axis.value],
+                     fixed=SweepBaseline(cooperativity=1.0, detuning=0.1, trials=300),
+                     outputs=OUTPUT_COLUMNS, **kwargs)
+
+
+class TestSharedLayers:
+    """Layers whose baseline fields leave the axis out are built once per
+    spec; every row keeps the bits it has when built alone."""
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_every_axis_is_deterministic_and_row_order_independent(self, axis):
+        spec = every_column_spec(axis, seed=42)
+        table = run_sweep(spec)
+        assert emit_csv(table) == emit_csv(run_sweep(spec))
+        # a fresh spec whose shared layers come from its last row
+        fresh = every_column_spec(axis, seed=42)
+        backwards = [compute_row(fresh, i) for i in reversed(range(len(fresh.grid)))]
+        assert backwards[::-1] == list(table.rows)
+        # row i alone: no layer shared with another row, seed XOR i kept
+        for i, value in enumerate(spec.grid):
+            alone = replace(spec, grid=(value,), seed=spec.seed ^ i)
+            assert compute_row(alone, 0) == table.rows[i]
+
+    @pytest.mark.parametrize("axis, shared", [
+        ("kappa_ratio", ("pulse",)), ("cooperativity", ("pulse",)), ("detuning", ("pulse",)),
+        ("bandwidth", ("cavity", "config")), ("eta_in", ("cavity", "pulse"))])
+    def test_the_axis_decides_which_layers_rows_share(self, axis, shared):
+        spec = every_column_spec(SweepAxis(axis))
+        first, second = (_row_inputs(spec, value)[1:] for value in spec.grid[:2])
+        for name, a, b in zip(("cavity", "config", "pulse"), first, second):
+            assert (a is b) == (name in shared), name
+
+    @pytest.mark.parametrize("axis, pairs", [("bandwidth", 1), ("eta_in", 1), ("detuning", 3)])
+    def test_reflection_pairs_per_sweep(self, axis, pairs, monkeypatch):
+        calls = []
+        original = spingate.sweep.reflection_pair
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(spingate.sweep, "reflection_pair", counted)
+        run_sweep(every_column_spec(SweepAxis(axis)))
+        assert len(calls) == pairs
+
+    def test_a_bad_value_on_a_later_row_is_still_rejected(self):
+        spec = SweepSpec(axis=SweepAxis.ETA_IN, grid=(0.5, 0.9, 1.5))
+        with pytest.raises(ValueError, match="eta_in must lie in"):
+            run_sweep(spec)
+        spec = SweepSpec(axis=SweepAxis.BANDWIDTH, grid=(0.1, 0.5, math.inf))
+        with pytest.raises(ValueError, match="pulse bandwidth"):
+            run_sweep(spec)
+
+
 class TestRowInputs:
     def test_every_axis_names_a_baseline_field(self):
         names = {f.name for f in fields(SweepBaseline)}
@@ -228,6 +288,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,),
                       outputs=("eta_S", "bogus"))
+
+    def test_stderr_alone_is_the_stderr_beside_the_rate(self):
+        def cells(outputs, column):
+            spec = SweepSpec(axis=SweepAxis.COOPERATIVITY, grid=(0.5, 1.0, 4.0),
+                             fixed=SweepBaseline(trials=500), outputs=outputs, seed=7)
+            return [row[column] for row in run_sweep(spec).rows]
+
+        beside = cells(("mc_eta_S",), "mc_stderr")
+        assert all(cell is not None for cell in beside)
+        assert cells(("mc_stderr",), "mc_stderr") == beside
+        assert cells(("mean_attempts", "mc_stderr"), "mc_stderr") == beside
+        assert cells(("mean_attempts", "mc_stderr"), "mean_attempts") == \
+            cells(("mean_attempts",), "mean_attempts")
 
     def test_stderr_follows_mc_column(self):
         spec = SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(1.0,),
