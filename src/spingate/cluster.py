@@ -48,12 +48,14 @@ is the oracle every grow/connect path is checked against.
 
 A gate run succeeds with the same probability whatever the register
 holds, so the resource factory (``simulate_factory``) walks over chain
-lengths with runs drawn by ``gate.sample_runs`` and builds no register;
-``expected_gate_ops`` is its exact mean, computed once per call.  The walk
-reads the runs' success flags in plain loops, from whole batches each
-sized from that mean for the trials left; PAIRWISE reads its connections
-from a fixed plan, the post-order list of (left, right) chain lengths, and
-``expected_gate_ops`` sums its connection costs over that same list.
+lengths with runs drawn by ``gate.sample_runs`` and builds no register.
+A growth strategy is its plan, the ordered (left, right) chain lengths
+of the connections a build makes: SEQUENTIAL joins a fresh single spin
+at each step, PAIRWISE joins the two halves of a recursive build.  One
+transition table, built once per target and strategy from the plan,
+drives the one walk (a lookup per run), and ``expected_gate_ops``, its
+exact mean, is one sum over the same plan.  The walk reads whole
+batches of runs, each sized from that mean for the trials left;
 ``sample_runs`` draws the same runs however a request is split into
 batches, so the batch size changes no count.
 """
@@ -69,8 +71,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gate import (_SUCCESS, GateConfig, GateOutcome, GateResult, check_count, run_gate,
-                   run_moments, sample_runs)
+from .gate import (GateConfig, GateOutcome, GateResult, check_count, run_gate, run_moments,
+                   sample_runs)
 from .qstate import (MAX_QUBITS, SpinOutcome, StateVector, _apply_xh, _factor_out, _frozen,
                      _measure_out, apply_1q, collapse_z, measure_z, split, subsystem_fidelity,
                      tensor)
@@ -343,59 +345,6 @@ class FactoryStats:
         return Table(columns=columns, rows=(row,))
 
 
-class _RunReader:
-    """Success flags of the gate runs a ``simulate_factory`` call reads, one
-    ``sample_runs`` batch at a time, and the photons of every run drawn.
-
-    ``flags`` iterates over the current batch; the walk reads it with plain
-    ``for`` loops and calls ``refill`` only once it has run dry.
-    ``per_trial`` is the mean gate operations of one trial (``math.inf``
-    when no run can succeed).
-    """
-
-    def __init__(self, config: GateConfig, rng: np.random.Generator, per_trial: float,
-                 trials: int):
-        self.config, self.rng, self.per_trial, self.trials = config, rng, per_trial, trials
-        self.flags = iter(())
-        self.drawn = 0      # runs drawn so far
-        self.attempts = []  # their photon counts, one array per batch
-        self.start = 0      # run position where the current trial began
-        self.done = 0       # trials finished
-
-    def position(self) -> int:
-        """How many runs the trials have read so far."""
-        return self.drawn - operator.length_hint(self.flags)
-
-    def check_budget(self, position: int) -> None:
-        if position - self.start > _MAX_OPS_PER_TRIAL:
-            raise RuntimeError("factory trial exceeded the gate-operation budget")
-
-    def refill(self) -> None:
-        """Draw the next batch: the runs the trials left are expected to
-        read, plus three square roots of that, and at most ``_MAX_BATCH``
-        (the size used when no run can succeed)."""
-        self.check_budget(self.drawn)
-        mean = self.per_trial * (self.trials - self.done)
-        n = max(math.ceil(min(mean + 3.0 * math.sqrt(mean), _MAX_BATCH)), 1)
-        outcome, attempts = sample_runs(self.config, n, self.rng)
-        self.flags = iter((outcome == _SUCCESS).tolist())
-        self.drawn += n
-        self.attempts.append(attempts)
-
-
-def _grow_to(length: int, target: int, runs: _RunReader) -> None:
-    length = max(length, 1)  # an emptied chain re-prepares one spin for free
-    while length < target:
-        for success in runs.flags:
-            if success:
-                length += 1
-                if length == target:
-                    return
-            elif length > 1:
-                length -= 1
-        runs.refill()
-
-
 def _pairwise_plan(target: int) -> list[tuple[int, int]]:
     """The (left, right) chain lengths of every connection a PAIRWISE build
     of ``target`` spins makes, in order: both halves' plans, then the
@@ -406,23 +355,50 @@ def _pairwise_plan(target: int) -> list[tuple[int, int]]:
     return _pairwise_plan(left) + _pairwise_plan(right) + [(left, right)]
 
 
-def _connect_all(plan: list[tuple[int, int]], runs: _RunReader) -> None:
-    for left, right in plan:
-        joined = False
-        while not joined:
-            for success in runs.flags:
-                if success:
-                    joined = True
-                    break
-                if left > 1:
-                    # a failed connection costs each half one spin; regrowing
-                    # them may refill, so read on from the current batch
-                    _grow_to(left - 1, left, runs)
-                    _grow_to(right - 1, right, runs)
-                    break
-                # two single spins: nothing regrows, so read the next flag
-            else:
-                runs.refill()
+def _plan(target: int, strategy: GrowthStrategy) -> list[tuple[int, int]]:
+    """The (left, right) chain lengths of every connection a build of
+    ``target`` spins makes, in order.  A SEQUENTIAL grow is a connection
+    with a fresh single spin."""
+    if strategy is GrowthStrategy.SEQUENTIAL:
+        return [(k, 1) for k in range(1, target)]
+    return _pairwise_plan(target)
+
+
+@functools.lru_cache(maxsize=2 * MAX_FACTORY_TARGET)
+def _walk_table(target: int, strategy: GrowthStrategy) -> tuple[tuple[int, int, int], ...]:
+    """The factory walk as a transition table: ``table[state][code]`` is
+    the state after a gate run that ends with ``sample_runs``' outcome
+    ``code`` (SUCCESS, LOSS, CAP).  State 0 is the end of a trial, and
+    the plan's connections are states 1, 2, ... in order, so a trial
+    starts at state 1, or is done at once for one spin.
+
+    A failed connection costs each half one spin: it leads to the states
+    that regrow the left half, then those of the right half, then back
+    to the connection.  Regrowing a chain from l - 1 spins to l is the
+    Barrett-Kok walk over its length j: a success adds a spin, a failure
+    takes one, and an emptied chain re-prepares one spin for free.  Built
+    once per (target, strategy) and shared.
+    """
+    plan = _plan(target, strategy)
+    table: list = [(0, 0, 0)] + [None] * len(plan)
+
+    def regrow(length: int, then: int) -> int:
+        """Append the states that regrow a chain to ``length`` spins from
+        one fewer, the state for j spins at ``first + j - 1``, and go on
+        to ``then``; returns the state to start from."""
+        if length == 1:  # an emptied single spin re-prepares for free
+            return then
+        first = len(table)
+        for j in range(1, length):
+            up = first + j if j + 1 < length else then
+            down = first + max(j - 2, 0)
+            table.append((up, down, down))
+        return first + length - 2
+
+    for i, (left, right) in enumerate(plan, 1):
+        retry = regrow(left, regrow(right, i))
+        table[i] = (i + 1 if i < len(plan) else 0, retry, retry)
+    return tuple(table)
 
 
 def simulate_factory(target_length: int, config: GateConfig,
@@ -430,21 +406,26 @@ def simulate_factory(target_length: int, config: GateConfig,
                      trials: int) -> FactoryStats:
     """Monte Carlo resource counts for building chains of a target length.
 
-    SEQUENTIAL grows one chain spin by spin, re-preparing a single spin
-    whenever failures wipe the chain out.  PAIRWISE builds two half-length
-    chains recursively and connects them, regrowing the damaged halves
-    after a failed connection; the walk reads its connections from a
-    fixed plan, built once per call.  Photons and gate operations are
-    counted until the target length is first reached; a trial that spends
-    more than 1e6 gate operations raises RuntimeError.
+    A strategy is its plan, the ordered (left, right) chain lengths of
+    the connections a build makes (``_plan``).  SEQUENTIAL joins the chain
+    with a fresh single spin, one spin at a time; PAIRWISE builds two
+    half-length chains recursively and connects them.  A failed
+    connection costs each half one spin, and the halves regrow before it
+    is tried again; a chain that failures empty re-prepares a single
+    spin.  Photons and gate operations are counted until the target
+    length is first reached; a trial that spends more than 1e6 gate
+    operations raises RuntimeError.
 
-    The trials read gate runs in order from ``sample_runs`` batches, each
-    sized from the exact mean, which is computed once per call:
-    ``expected_gate_ops`` times the trials left, plus three square roots
-    of that, and at most 2**16 runs.  A trial's gate ops are the runs it
-    read and its photons their attempts.  ``sample_runs`` draws the same
-    runs whether asked for them at once or in parts, so the batch sizes
-    change no count, only where ``rng`` stands afterwards.
+    One walk serves both strategies: it steps through the plan's
+    transition table (``_walk_table``, built once per target and
+    strategy), one lookup per gate run.  The runs come in order from
+    ``sample_runs`` batches, each sized from the exact mean
+    (``expected_gate_ops``, computed once per call from the same plan)
+    times the trials left, plus three square roots of that, and at most
+    2**16 runs.  A trial's gate ops are the runs it read and its photons
+    their attempts.  ``sample_runs`` draws the same runs whether asked
+    for them at once or in parts, so the batch sizes change no count,
+    only where ``rng`` stands afterwards.  A one-spin build reads no run.
     """
     check_count("target_length", target_length, 1)
     if target_length > MAX_FACTORY_TARGET:
@@ -454,20 +435,34 @@ def simulate_factory(target_length: int, config: GateConfig,
         raise TypeError(f"unknown strategy {strategy!r}")
     p = min(run_moments(config)[0], 1.0)  # p_unit may pass 1 by rounding
     per_trial = expected_gate_ops(target_length, p, strategy) if p > 0.0 else math.inf
-    runs = _RunReader(config, rng, per_trial, trials)
-    plan = _pairwise_plan(target_length) if strategy is GrowthStrategy.PAIRWISE else None
-    ends = []  # run position after each trial
-    for i in range(trials):
-        runs.done = i
-        if strategy is GrowthStrategy.SEQUENTIAL:
-            _grow_to(1, target_length, runs)
-        else:
-            _connect_all(plan, runs)
-        end = runs.position()
-        runs.check_budget(end)
-        ends.append(end)
-        runs.start = end
-    photons = np.concatenate([np.zeros(1, dtype=np.int64), *runs.attempts]).cumsum()
+    table = _walk_table(target_length, strategy)
+    start = state = int(target_length > 1)
+    max_batch, budget, unread = _MAX_BATCH, _MAX_OPS_PER_TRIAL, operator.length_hint
+    ends = [] if start else [0] * trials  # run position after each trial
+    batches = []  # the photons of every run drawn, one array per batch
+    drawn = begun = 0  # runs drawn; position where the current trial began
+    while len(ends) < trials:
+        if drawn - begun > budget:
+            raise RuntimeError("factory trial exceeded the gate-operation budget")
+        mean = per_trial * (trials - len(ends))
+        n = max(math.ceil(min(mean + 3.0 * math.sqrt(mean), max_batch)), 1)
+        outcome, attempts = sample_runs(config, n, rng)
+        batches.append(attempts)
+        drawn += n
+        # positions are read only where a trial ends: counting every run
+        # (enumerate) would cost about as much as the lookup itself
+        runs = iter(outcome.tolist())
+        for code in runs:
+            state = table[state][code]
+            if not state:
+                position = drawn - unread(runs)
+                if position - begun > budget:
+                    raise RuntimeError("factory trial exceeded the gate-operation budget")
+                ends.append(position)
+                if len(ends) == trials:
+                    break
+                begun, state = position, start
+    photons = np.concatenate([np.zeros(1, dtype=np.int64), *batches]).cumsum()
     totals = np.zeros((2, trials + 1), dtype=np.int64)  # photons, gate ops read so far
     totals[:, 1:] = photons[ends], ends
     return FactoryStats(strategy, target_length, *(totals[:, 1:] - totals[:, :-1]))
@@ -477,13 +472,14 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
     """Exact mean gate operations per ``simulate_factory`` trial, at any length.
 
     p is one gate operation's success probability (``run_moments``; times
-    its mean attempts, this gives photons).  Growing from j to j + 1 spins
-    takes h_j = (1 + (1 - p) h_{j-1}) / p operations on average, h_0 = 0,
-    as a failure costs one spin (Barrett & Kok, PRA 71, 060310(R) (2005)).
-    SEQUENTIAL takes the sum of h_1 .. h_{target-1}.  PAIRWISE takes, for
-    each connection of ``_pairwise_plan(target)`` (the list its walk
-    reads) between chains of l and r spins, (1 + (1 - p)(h_{l-1} +
-    h_{r-1})) / p: a failed connection costs each side one spin.
+    its mean attempts, this gives photons).  Regrowing a chain from j - 1
+    to j spins takes h_j = (1 + (1 - p) h_{j-1}) / p operations on
+    average, h_0 = 0, as a failure costs one spin (Barrett & Kok, PRA 71,
+    060310(R) (2005)).  The mean is one sum over the strategy's plan,
+    the connection list its walk reads: joining chains of l and r spins
+    takes (1 + (1 - p)(h_{l-1} + h_{r-1})) / p, as a failed connection
+    costs each side one spin.  A SEQUENTIAL grow joins a single spin, so
+    its term is h_l and the sum is h_1 + ... + h_{target-1}.
     """
     if target < 1 or not 0.0 < p <= 1.0:
         raise ValueError("need target >= 1 and p in (0, 1]")
@@ -492,7 +488,5 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
     h = [0.0]
     for _ in range(1, target):
         h.append((1.0 + (1.0 - p) * h[-1]) / p)
-    if strategy is GrowthStrategy.SEQUENTIAL:
-        return sum(h)
     return sum(((1.0 + (1.0 - p) * (h[left - 1] + h[right - 1])) / p
-                for left, right in _pairwise_plan(target)), 0.0)
+                for left, right in _plan(target, strategy)), 0.0)

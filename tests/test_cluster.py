@@ -15,8 +15,8 @@ import pytest
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, ConnectResult, GrowResult,
-                              GrowthStrategy, _drop, _pairwise_plan, add_fresh,
-                              canonical_cluster, chain_fidelity, connect_chains,
+                              GrowthStrategy, _drop, _pairwise_plan, _plan, _walk_table,
+                              add_fresh, canonical_cluster, chain_fidelity, connect_chains,
                               expected_gate_ops, grow_chain, new_chain, simulate_factory)
 from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
                            analytic_etas, run_gate, run_moments, sample_runs)
@@ -612,6 +612,69 @@ class TestPairwisePlan:
         for target in (1, 4):
             with pytest.raises(ModelDomainError):
                 simulate_factory(target, config, strategy, np.random.default_rng(0), trials=1)
+
+
+def expected_steps(table, law):
+    """Expected runs from state 1 of a walk table to its end state 0, when a
+    run ends with ``code`` at probability ``law[code]``.
+
+    This solves (I - Q) t = 1 by state reduction (Grassmann, Taksar &
+    Heyman): each state in turn, from the last, is folded into the states
+    that lead to it, with its escape probability summed from its exits
+    rather than taken as 1 - (its self-loop).  Every step adds positive
+    terms, so the result keeps ~1e-15 relative even where a trial's mean
+    reaches 5e8 runs (SEQUENTIAL, target 10, p = 0.1); an LU solve of the
+    same system cancels there and is off by ~4e-9.
+    """
+    n = len(table)
+    move = np.zeros((n, n))  # move[s, u]: one run from s leads to u; column 0 ends
+    for state in range(1, n):
+        for code, prob in law.items():
+            move[state, table[state][code]] += prob
+    runs = np.ones(n)  # expected runs a visit to a state spends before it moves on
+    for k in range(n - 1, 1, -1):
+        escape = move[k, :k].sum()  # the states past k are folded in already
+        weight = move[1:k, k] / escape
+        move[1:k, :k] += np.outer(weight, move[k, :k])
+        runs[1:k] += weight * runs[k]
+        move[1:k, k] = 0.0
+    return runs[1] / move[1, 0]
+
+
+class TestPlanTable:
+    """The factory walk's transition table, built from the strategy's plan."""
+
+    def test_a_sequential_grow_joins_a_single_spin(self):
+        for target in range(1, MAX_FACTORY_TARGET + 1):
+            assert _plan(target, GrowthStrategy.SEQUENTIAL) == [(k, 1) for k in range(1, target)]
+            assert _plan(target, GrowthStrategy.PAIRWISE) == _pairwise_plan(target)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_expected_steps_to_the_end_are_the_mean(self, strategy, p):
+        # LOSS and CAP split the failures unevenly: the table must not tell them apart
+        law = {RunOutcome.SUCCESS: p, RunOutcome.LOSS: 0.7 * (1.0 - p),
+               RunOutcome.CAP: 0.3 * (1.0 - p)}
+        for target in range(1, MAX_FACTORY_TARGET + 1):
+            table = _walk_table(target, strategy)
+            mean = expected_steps(table, law) if target > 1 else 0.0  # one spin: no run
+            assert mean == pytest.approx(expected_gate_ops(target, p, strategy),
+                                         rel=1e-12, abs=0)
+            if 0.0 < p < 1.0:  # every state reaches the end
+                reached, grew = {0}, True
+                while grew:
+                    more = {s for s, row in enumerate(table) if reached & set(row)}
+                    grew, reached = more > reached, reached | more
+                assert reached == set(range(len(table)))
+
+    @pytest.mark.parametrize("strategy", list(GrowthStrategy))
+    def test_a_one_spin_build_reads_no_run(self, strategy):
+        # the start state is the end state, so no batch is drawn
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        stats = simulate_factory(1, ORACLE_CONFIGS["cavity_c1"], strategy, rng, trials=7)
+        assert stats.gate_ops.tolist() == stats.photons.tolist() == [0] * 7
+        assert rng.bit_generator.state == before
 
 
 # --- failures split off the spins they leave behind ------------------------------
