@@ -9,16 +9,21 @@ are exact closed forms; Monte Carlo columns carry their binomial standard
 error and are reproducible: row i uses its own generator seeded with
 ``seed XOR i``, so a row's bytes do not depend on the other rows.
 
+``SweepSpec`` checks each grid value once, as ``SweepBaseline`` checks
+its float fields, so a value that is not a real number, or an integer too
+large for a float, is refused when the spec is built, naming the axis.
 ``_row_inputs`` builds each row's library inputs in one place: the
 baseline, the cavity layer (``CavityParams`` and its reflection pair),
 the ``GateConfig`` and the ``PulseSpec``, whichever columns the row
-prints, so their range checks reject a bad value on every sweep.  A layer
-whose baseline fields leave the sweep axis out is built once per spec, on
-its first row, and shared by the rest: a bandwidth sweep builds one
-cavity and one config, an ``eta_in`` sweep one cavity and one pulse, and
-a shared cavity computes its analytic etas and its ``gaussian_etas`` pole
-terms once.  Its checks run on that first build; a layer the axis does
-change is still built, and checked, on every row.
+prints, so their range checks reject a value out of range on every sweep.
+A row's baseline is a copy of the spec's baseline with the axis field set,
+with no check run again.  A layer whose baseline fields leave the sweep
+axis out is built once per spec, on its first row, and shared by the
+rest: a bandwidth sweep builds one cavity and one config, an ``eta_in``
+sweep one cavity and one pulse, and a shared cavity computes its analytic
+etas and its ``gaussian_etas`` pole terms once.  Its range checks run on
+that first build; a layer the axis does change is still built, and
+range-checked, on every row.
 
 The analytic and pulse columns (``eta_H``, ``eta_V``, ``eta_S``,
 ``pulse_eta_S``) assume a perfectly coupled probe and a perfect detector,
@@ -45,7 +50,7 @@ import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -109,19 +114,24 @@ class SweepBaseline:
 
     def __post_init__(self) -> None:
         # a config file may hold any JSON value; a string, list, null or
-        # bool must not reach the physics as a float.  Every row builds a
-        # baseline, so a plain float skips the slower ABC check.  The
-        # ranges are checked by the library types each row builds.
+        # bool must not reach the physics as a float.  The ranges are
+        # checked by the library types each row builds.
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not float:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{name} must be a real number, got {value!r}")
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(f"{name} is too large in magnitude for a float") from None
+            _check_real(name, getattr(self, name))
         check_count("trials", self.trials, 1)
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a value of float field ``name`` that is not a real number, or
+    that is an integer too large for a float; a plain float skips the
+    slower ABC check."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large in magnitude for a float") from None
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(SweepBaseline) if f.type == "float")
@@ -140,6 +150,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        # each row's baseline is ``fixed`` with the axis field set to a grid
+        # value, so the values get the check a baseline field gets, here once
+        axis = self.axis.value
+        for value in self.grid:
+            _check_real(axis, value)
         if any(math.isnan(v) for v in self.grid):
             raise ValueError("grid values must not be NaN")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -252,10 +267,15 @@ def _layers(base: SweepBaseline, cavity: Optional[_Cavity] = None,
 
 def _row_inputs(spec: SweepSpec, value: float
                 ) -> tuple[SweepBaseline, _Cavity, GateConfig, PulseSpec]:
-    """The baseline of the row at ``value`` and its layers.  The first row
-    of a spec builds every layer and keeps, in the spec, those whose fields
-    leave its axis out; later rows build only the others."""
-    base = replace(spec.fixed, **{spec.axis.value: value})
+    """The baseline of the row at ``value`` and its layers.  The baseline is
+    a copy of ``spec.fixed`` with the axis field set to ``value``; both were
+    checked when the spec was built, so no check runs again here.  The
+    first row of a spec builds every layer and keeps, in the spec, those
+    whose fields leave its axis out; later rows build only the others."""
+    base = object.__new__(type(spec.fixed))
+    attrs = base.__dict__
+    attrs.update(spec.fixed.__dict__)
+    attrs[spec.axis.value] = value
     kept = spec.__dict__.get("_kept_layers")
     if kept is not None:
         return (base, *_layers(base, *kept))

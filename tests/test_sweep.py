@@ -4,6 +4,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ class TestSharedLayers:
         run_sweep(every_column_spec(SweepAxis(axis)))
         assert len(calls) == pairs
 
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_rows_of_a_built_spec_check_no_baseline_again(self, axis, monkeypatch):
+        spec = every_column_spec(axis)
+        calls = []
+        original = SweepBaseline.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(SweepBaseline, "__post_init__", counted)
+        run_sweep(spec)
+        assert len(spec.grid) > 1
+        assert calls == []
+
     def test_a_bad_value_on_a_later_row_is_still_rejected(self):
         spec = SweepSpec(axis=SweepAxis.ETA_IN, grid=(0.5, 0.9, 1.5))
         with pytest.raises(ValueError, match="eta_in must lie in"):
@@ -208,6 +224,15 @@ class TestRowInputs:
         moved = SweepBaseline(**{**base.__dict__, axis.value: value})
         fixed = SweepSpec(axis=axis, grid=(value,), fixed=moved, outputs=outputs, seed=5)
         assert compute_row(swept, 0) == compute_row(fixed, 0)
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    def test_row_baseline_is_replace_of_the_fixed_baseline(self, axis):
+        spec = every_column_spec(axis)
+        for value in spec.grid:
+            base = _row_inputs(spec, value)[0]
+            expected = replace(spec.fixed, **{axis.value: value})
+            assert type(base) is type(expected)
+            assert base == expected
 
     def test_one_reflection_pair_per_row(self, monkeypatch):
         calls = []
@@ -283,6 +308,18 @@ class TestSpecValidation:
             SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=(2.0, 1.0))
         with pytest.raises(ValueError):
             SweepSpec(axis=SweepAxis.KAPPA_RATIO, grid=())
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    @pytest.mark.parametrize("value", ["x", None, True, Decimal("2"), 10 ** 400],
+                             ids=["str", "None", "bool", "Decimal", "huge_int"])
+    def test_grid_value_must_be_a_float_the_axis_field_takes(self, axis, value):
+        match = f"{axis.value} (must be a real number|is too large in magnitude)"
+        with pytest.raises(ValueError, match=match) as in_grid:
+            SweepSpec(axis=axis, grid=(value,))
+        # the message a baseline field with the same value gets
+        with pytest.raises(ValueError) as in_baseline:
+            SweepBaseline(**{axis.value: value})
+        assert str(in_grid.value) == str(in_baseline.value)
 
     def test_unknown_outputs_rejected(self):
         with pytest.raises(ValueError):
