@@ -51,6 +51,7 @@ Two modelling notes:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -139,18 +140,13 @@ class GateConfig:
             raise ValueError(f"max_recycles must be below {_MAX_CAP}, "
                              "so that max_recycles + 1 attempts fit a 64-bit count")
 
-    @property
+    @functools.cached_property
     def _law(self) -> tuple[float, float, float]:
         """``_attempt_probabilities`` of this config, computed on the first
-        read and kept in the instance.  A ModelDomainError keeps nothing, so
-        it is raised again on every read; ``dataclasses.replace`` builds a
-        config with a law of its own.  (``functools.cached_property`` would
-        do the same, but its lock costs more than the law on a config read
-        once, as every sweep row's is.)"""
-        law = self.__dict__.get("_attempt_law")
-        if law is None:
-            law = self.__dict__["_attempt_law"] = _attempt_probabilities(self)
-        return law
+        read.  A ModelDomainError caches nothing, so it is raised again on
+        every read; ``dataclasses.replace`` builds a config with a law of
+        its own."""
+        return _attempt_probabilities(self)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ class StateVector:
         return _MINUS
 
     def norm(self) -> float:
-        return float(_norm(self.amps))
+        return _norm(self.amps)
 
 
 def _frozen(n: int, amps: np.ndarray) -> StateVector:
@@ -242,18 +242,14 @@ def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def _sq_norm(x: np.ndarray) -> float:
-    """Squared norm of a (possibly strided) view: one vdot per chunk, no
-    abs()**2 temporaries.  The small case skips the ``_vdot`` call: a chain
-    step takes hundreds of these norms."""
-    if x.size <= _CHUNK:
-        return float(np.vdot(x, x).real)
+    """Squared norm of a (possibly strided) view: ``_vdot(x, x)``, one vdot
+    per chunk, no abs()**2 temporaries."""
     return float(_vdot(x, x).real)
 
 
 def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a vector; above ``_CHUNK`` entries, the root of
-    ``_sq_norm``."""
-    return np.linalg.norm(x) if x.size <= _CHUNK else math.sqrt(_sq_norm(x))
+    """Norm of a vector: the root of ``_sq_norm``."""
+    return math.sqrt(_sq_norm(x))
 
 
 def _conj_matmul(v: np.ndarray, mat: np.ndarray) -> np.ndarray:

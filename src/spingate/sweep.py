@@ -47,6 +47,7 @@ built, which makes emit -> parse -> emit the identity on bytes.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import numbers
@@ -56,8 +57,8 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams, reflection_pair
-from .gate import (_SUCCESS, DegenerateRecycleError, Etas, GateConfig, analytic_etas,
-                   check_count, sample_runs)
+from .gate import (_SUCCESS, DegenerateRecycleError, GateConfig, analytic_etas, check_count,
+                   sample_runs)
 from .gate import run_gate  # noqa: F401  unused; the benchmark tracer wraps sweep.run_gate
 from .pulse import PulseSpec, _gaussian_average, _pole_terms
 from .pulse import pulse_etas  # noqa: F401  unused; the benchmark tracer wraps sweep.pulse_etas
@@ -148,6 +149,8 @@ class SweepSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.axis, SweepAxis):
+            raise ValueError(f"axis must be a SweepAxis, got {self.axis!r}")
         if not self.grid:
             raise ValueError("grid must be non-empty")
         # each row's baseline is ``fixed`` with the axis field set to a grid
@@ -216,36 +219,31 @@ _MONTE_CARLO = ("mc_eta_S", "mc_stderr", "mean_attempts")
 
 class _Cavity:
     """A row's cavity layer: its ``CavityParams`` and reflection pair, with
-    the analytic cells and the ``gaussian_etas`` pole terms computed on
-    first read, so rows that share the layer share them too."""
-
-    __slots__ = ("params", "pair", "_analytic", "_terms")
+    the analytic cells and the ``gaussian_etas`` pole terms each computed
+    on its first read and kept, so rows that share the layer share them."""
 
     def __init__(self, base: SweepBaseline) -> None:
         self.params = CavityParams.from_cooperativity(
             base.cooperativity, kappa_ratio=base.kappa_ratio, gamma=base.gamma,
             probe_detuning=base.detuning, trion_offset=base.trion_offset)
         self.pair = reflection_pair(self.params)
-        self._analytic = self._terms = None
 
+    @functools.cached_property
     def analytic(self) -> tuple[tuple, str]:
         """The quantized ``eta_H``, ``eta_V`` and ``eta_S`` cells and the row
         flag: a degenerate recycle leaves ``eta_S`` empty and flags the row."""
-        if self._analytic is None:
-            pair = self.pair
-            try:
-                etas = analytic_etas(pair)
-                values, flag = (etas.eta_h, etas.eta_v, etas.eta_s), ""
-            except DegenerateRecycleError:
-                values, flag = (abs(pair.d) ** 2, abs(pair.s) ** 2, None), _FLAG_DEGENERATE
-            self._analytic = tuple(map(quantize, values)), flag
-        return self._analytic
+        pair = self.pair
+        try:
+            etas = analytic_etas(pair)
+            values, flag = (etas.eta_h, etas.eta_v, etas.eta_s), ""
+        except DegenerateRecycleError:
+            values, flag = (abs(pair.d) ** 2, abs(pair.s) ** 2, None), _FLAG_DEGENERATE
+        return tuple(map(quantize, values)), flag
 
-    def averaged(self, pulse: PulseSpec) -> Etas:
-        """``gaussian_etas(self.params, pulse)``, bit for bit."""
-        if self._terms is None:
-            self._terms = _pole_terms(self.params)
-        return _gaussian_average(self.params, self._terms, pulse)
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[complex, complex, complex], ...]:
+        """``_pole_terms(self.params)``: the part of ``gaussian_etas`` no pulse changes."""
+        return _pole_terms(self.params)
 
 
 def _layers(base: SweepBaseline, cavity: Optional[_Cavity] = None,
@@ -304,7 +302,7 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
     row["flag"] = ""
     wants = set(spec.outputs)
     if not wants.isdisjoint(_ANALYTIC):
-        cells, row["flag"] = cavity.analytic()
+        cells, row["flag"] = cavity.analytic
         for name, cell in zip(_ANALYTIC, cells):
             if name in wants:
                 row[name] = cell
@@ -316,7 +314,8 @@ def compute_row(spec: SweepSpec, index: int) -> dict:
                 row[name] = quantize(cell)
     if "pulse_eta_S" in wants:
         try:
-            row["pulse_eta_S"] = quantize(cavity.averaged(pulse).eta_s)
+            row["pulse_eta_S"] = quantize(
+                _gaussian_average(cavity.params, cavity.terms, pulse).eta_s)
         except DegenerateRecycleError:
             row["flag"] = _FLAG_DEGENERATE
     return row

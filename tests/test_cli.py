@@ -97,6 +97,13 @@ class TestExitCodes:
             == EXIT_CONFIG
         assert "bad grid: range grid has more than" in capsys.readouterr().err
 
+    def test_empty_range_grid_is_a_config_error(self, capsys):
+        assert main(["--axis", "kappa_ratio", "--grid", "5:1:1", "--out", "-"]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spingate: bad grid: empty grid range\n"
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"axis": "kappa_ratio", "grid": [1, 2],

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import spingate.cluster
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, ConnectResult, GrowResult,
                               GrowthStrategy, _drop, _pairwise_plan, _plan, _walk_table,
@@ -758,6 +759,33 @@ class TestRegisterHoldsOnlyTheChain:
         chain = ChainState(tensor(bell, chain.register), (2, 3, 4))
         with pytest.raises(EntangledCutError):
             grow_chain(chain, 0, IDEAL, force=FAILURE, force_measure=measured)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    @pytest.mark.parametrize("measured", [SpinOutcome.UP, SpinOutcome.DOWN])
+    def test_a_fresh_spin_off_the_equator_goes_to_split(self, length, measured,
+                                                          monkeypatch):
+        # no exact comparison shows cos|up> + sin|down> a product, so
+        # _factor_out leaves it and split certifies the cut
+        spin = StateVector.single(math.cos(0.3), math.sin(0.3))
+        cuts = []
+
+        def recording_split(state, part):
+            cuts.append(list(part))
+            sub, rest = split(state, part)
+            assert fidelity(sub, spin) == pytest.approx(1.0, abs=1e-12)
+            return sub, rest
+
+        monkeypatch.setattr(spingate.cluster, "split", recording_split)
+        chain = build_chain(length)
+        extended = ChainState(tensor(chain.register, spin), chain.labels)
+        shrunk = grow_chain(extended, length, IDEAL, force=FAILURE,
+                            force_measure=measured).chain
+        assert_only_chain(shrunk)
+        assert shrunk.length == length - 1
+        assert chain_fidelity(shrunk) == 1.0
+        # the fresh qubit, one lower once the measured spin has left; a
+        # length-1 chain keeps its measured spin, as nothing else would stay
+        assert cuts == [[max(length - 1, 1)]]
 
     def test_a_failed_grow_draws_attempts_plus_one_uniforms(self):
         config = GateConfig(pair=RECYCLING)

@@ -306,6 +306,15 @@ class TestRunGate:
         with pytest.raises(ValueError):
             run_gate(config, plus_plus(), 0, 1)
 
+    def test_forced_dephasing_requires_rng(self):
+        config = GateConfig(pair=ReflectionPair.ideal(), dephasing_per_attempt=0.2)
+        with pytest.raises(ValueError, match="dephasing requires a random generator"):
+            run_gate(config, plus_plus(), 0, 1, force=GateOutcome.EVEN)
+
+    def test_a_failed_gate_has_no_parity(self):
+        with pytest.raises(ValueError, match="a failed gate has no parity"):
+            GateOutcome.FAILURE.parity
+
 
 class TestDephasing:
     def test_mean_heralded_fidelity_stays_high(self):

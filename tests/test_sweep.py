@@ -294,6 +294,24 @@ class TestTableFormats:
         assert all(b < a for a, b in zip(ys, ys[1:]))
         assert root.findall(".//svg:text", ns)  # labeled axes and legend
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_svg_of_one_row_has_finite_coordinates(self, eta):
+        # one row spans no range of values, and a zero one no range of
+        # efficiencies either (the y range always takes in 0); each axis
+        # still gets a scale
+        table = Table(columns=("axis", "value", "eta_S", "flag"),
+                      rows=({"axis": "kappa_ratio", "value": 13.0, "eta_S": eta, "flag": ""},))
+        root = ET.fromstring(emit_svg(table))
+        coords = []
+        for element in root.iter():
+            for name, text in element.attrib.items():
+                if name in ("x", "y", "x1", "y1", "x2", "y2"):
+                    coords.append(float(text))
+                elif name == "points":
+                    coords += [float(c) for p in text.split() for c in p.split(",")]
+        assert len(coords) > 2
+        assert all(math.isfinite(c) for c in coords)
+
     def test_emit_writes_files(self, table, tmp_path):
         out = tmp_path / "sweep.csv"
         text = emit(table, "csv", str(out))
@@ -320,6 +338,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError) as in_baseline:
             SweepBaseline(**{axis.value: value})
         assert str(in_grid.value) == str(in_baseline.value)
+
+    def test_axis_must_be_a_sweep_axis(self):
+        with pytest.raises(ValueError, match="axis must be a SweepAxis, got 'cooperativity'"):
+            SweepSpec(axis="cooperativity", grid=(1.0,))
 
     def test_unknown_outputs_rejected(self):
         with pytest.raises(ValueError):
