@@ -331,36 +331,34 @@ def sample_runs(config: GateConfig, n: int, rng: np.random.Generator) -> GateRun
         clicks = np.flatnonzero((u < p_unit) | (u >= p_unit + p_recycle))
         ends = u[clicks] >= p_unit  # as an outcome code: SUCCESS is 0, LOSS 1
         # each click ends a run of (recycles since the last click) + 1
-        # photons, the first one counting those spent before this block ...
-        steps = clicks.copy()
-        steps[1:] -= clicks[:-1]
-        steps[:1] += spent + 1
-        if clicks.size and steps.max() > cap:
+        # photons, the first one counting those spent before this block; the
+        # recycles after the last click make one more step, the open run's ...
+        steps = np.empty(clicks.size + 1, dtype=np.int64)
+        steps[:-1] = clicks
+        steps[-1] = block
+        steps[1:] -= clicks
+        steps[0] += spent + 1
+        if steps.max() > cap:
             # ... unless the cap comes first: every cap-many recycles in a
-            # row end a CAP run, and the click's own run gets the rest
+            # row end a CAP run, and the step's own run gets the rest
             capped = (steps - 1) // cap
             at = np.cumsum(capped + 1) - 1
             codes = np.full(at[-1] + 1, _CAP, dtype=np.int8)
-            codes[at] = ends
+            codes[at[:-1]] = ends
             photons = np.full(at[-1] + 1, cap, dtype=np.int64)
             photons[at] = steps - capped * cap
             ends, steps = codes, photons
-        take = min(steps.size, n - done)
+        # every run but the open one is finished
+        take = min(steps.size - 1, n - done)
         outcome[done:done + take] = ends[:take]
         attempts[done:done + take] = steps[:take]
-        done += take
-        # the recycles after the last click: whole CAP runs, then the open run
-        tail = block - 1 - int(clicks[-1]) if clicks.size else spent + block
-        take = min(tail // cap, n - done)
-        outcome[done:done + take] = _CAP
-        attempts[done:done + take] = cap
         done += take
         if done == n:  # give back the draws past the end of run n
             used = int(attempts[first:].sum()) - spent
             if used < block:
                 rng.bit_generator.state = saved
                 rng.random(used)
-        spent = tail % cap
+        spent = int(steps[-1]) - 1
         wanted = (n - done) + 3.0 * math.sqrt(n - done)
     return GateRuns(outcome, attempts)
 

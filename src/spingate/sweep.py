@@ -75,7 +75,6 @@ class SweepAxis(enum.Enum):
 
 OUTPUT_COLUMNS = ("eta_H", "eta_V", "eta_S", "mc_eta_S", "mc_stderr",
                   "pulse_eta_S", "mean_attempts")
-FORMATS = ("csv", "jsonl", "svg")
 # a start:stop:step grid of more points is refused before it is built
 MAX_GRID_POINTS = 10 ** 6
 _FLAG_DEGENERATE = "eta_v_degenerate"
@@ -246,11 +245,21 @@ class _Cavity:
         return _pole_terms(self.params)
 
 
-def _layers(base: SweepBaseline, cavity: Optional[_Cavity] = None,
-            config: Optional[GateConfig] = None, pulse: Optional[PulseSpec] = None
-            ) -> tuple[_Cavity, GateConfig, PulseSpec]:
-    """Each layer not given, built from ``base`` in order, so the first
-    range check that fails is the one a row with no layer given meets."""
+def _row_inputs(spec: SweepSpec, value: float
+                ) -> tuple[SweepBaseline, _Cavity, GateConfig, PulseSpec]:
+    """The baseline of the row at ``value`` and its layers.  The baseline is
+    a copy of ``spec.fixed`` with the axis field set to ``value``; both were
+    checked when the spec was built, so no check runs again here.  The
+    first row of a spec keeps, in the spec, the layers whose fields leave
+    its axis out; every row builds the others in order (cavity, config,
+    pulse), so its first failing range check is the one it meets alone."""
+    axis = spec.axis.value
+    base = object.__new__(type(spec.fixed))
+    attrs = base.__dict__
+    attrs.update(spec.fixed.__dict__)
+    attrs[axis] = value
+    kept = spec.__dict__.get("_kept_layers")
+    cavity, config, pulse = kept or (None, None, None)
     if cavity is None:
         cavity = _Cavity(base)
     if config is None:
@@ -260,29 +269,11 @@ def _layers(base: SweepBaseline, cavity: Optional[_Cavity] = None,
                             dephasing_per_attempt=base.dephasing)
     if pulse is None:
         pulse = PulseSpec(delta=base.bandwidth, center=base.pulse_center)
-    return cavity, config, pulse
-
-
-def _row_inputs(spec: SweepSpec, value: float
-                ) -> tuple[SweepBaseline, _Cavity, GateConfig, PulseSpec]:
-    """The baseline of the row at ``value`` and its layers.  The baseline is
-    a copy of ``spec.fixed`` with the axis field set to ``value``; both were
-    checked when the spec was built, so no check runs again here.  The
-    first row of a spec builds every layer and keeps, in the spec, those
-    whose fields leave its axis out; later rows build only the others."""
-    base = object.__new__(type(spec.fixed))
-    attrs = base.__dict__
-    attrs.update(spec.fixed.__dict__)
-    attrs[spec.axis.value] = value
-    kept = spec.__dict__.get("_kept_layers")
-    if kept is not None:
-        return (base, *_layers(base, *kept))
-    layers = _layers(base)
-    axis = spec.axis.value
-    spec.__dict__["_kept_layers"] = tuple(
-        None if axis in names else layer
-        for names, layer in zip((_CAVITY_FIELDS, _CONFIG_FIELDS, _PULSE_FIELDS), layers))
-    return (base, *layers)
+    if kept is None:
+        spec.__dict__["_kept_layers"] = tuple(
+            None if axis in names else layer for names, layer in
+            zip((_CAVITY_FIELDS, _CONFIG_FIELDS, _PULSE_FIELDS), (cavity, config, pulse)))
+    return base, cavity, config, pulse
 
 
 def _monte_carlo(config: GateConfig, trials: int, rng) -> tuple[float, float, float]:
@@ -356,14 +347,20 @@ def parse_csv(text: str) -> Table:
     return Table(columns=columns, rows=tuple(rows))
 
 
-def emit_jsonl(table: Table) -> str:
-    lines = []
+def _check_finite(table: Table, columns, reason: str) -> None:
+    """Refuse a table with a non-finite number in ``columns``, naming the
+    first such cell's row and column and the format's ``reason``."""
     for number, row in enumerate(table.rows, 1):
-        obj = {c: row[c] for c in table.columns}
-        for column, value in obj.items():
+        for column in columns:
+            value = row[column]
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"row {number}, column {column}: {value} is not valid JSON")
-        lines.append(json.dumps(obj, allow_nan=False))
+                raise ValueError(f"row {number}, column {column}: {value} {reason}")
+
+
+def emit_jsonl(table: Table) -> str:
+    _check_finite(table, table.columns, "is not valid JSON")
+    lines = [json.dumps({c: row[c] for c in table.columns}, allow_nan=False)
+             for row in table.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -385,10 +382,14 @@ def emit_svg(table: Table) -> str:
     series = _svg_series(table)
     if not series:
         raise ValueError("no plottable columns in table")
+    _check_finite(table, ("value", *series), "cannot be plotted")
     xs = [row["value"] for row in table.rows]
     ys = [row[c] for c in series for row in table.rows if row[c] is not None]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys)
+    for name, lo, hi in (("value", x_lo, x_hi), ("efficiency", y_lo, y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {name} axis, from {lo} to {hi}, is too wide to plot")
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -444,16 +445,15 @@ def emit_svg(table: Table) -> str:
     return "\n".join(parts) + "\n"
 
 
+_EMITTERS = {"csv": emit_csv, "jsonl": emit_jsonl, "svg": emit_svg}
+FORMATS = tuple(_EMITTERS)
+
+
 def emit(table: Table, fmt: str, out: Optional[str] = None) -> str:
     """Render the table and optionally write it to a file."""
-    if fmt == "csv":
-        text = emit_csv(table)
-    elif fmt == "jsonl":
-        text = emit_jsonl(table)
-    elif fmt == "svg":
-        text = emit_svg(table)
-    else:
+    if fmt not in _EMITTERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    text = _EMITTERS[fmt](table)
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -80,6 +80,21 @@ class TestSweepRuns:
         header = out.read_text().split("\n")[0]
         assert header == "axis,value,eta_S,flag"
 
+    def test_flagged_row_prints_an_empty_eta_s_cell(self, capsys):
+        code = main(["--axis", "cooperativity", "--grid", "0,1", "--kappa-ratio", "inf",
+                     "--out", "-"])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.split("\n")
+        assert rows[1] == "cooperativity,0,0,1,,eta_v_degenerate"
+
+    def test_svg_of_stderr_alone_has_nothing_to_plot(self, capsys):
+        code = main(["--axis", "cooperativity", "--grid", "0.5,1", "--trials", "50",
+                     "--outputs", "mc_stderr", "--format", "svg", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "spingate: cannot write svg: no plottable columns in table\n"
+        assert captured.out == ""
+
 
 class TestExitCodes:
     def test_missing_axis(self, capsys):
@@ -459,6 +474,22 @@ class TestNonFiniteValues:
                      "--format", "jsonl", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "row 3, column value: inf is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis", "kappa_ratio", "--grid", "1,13,inf"],
+         "row 3, column value: inf cannot be plotted"),
+        (["--axis", "detuning", "--grid", "-1e308,1e308", "--c", "1"],
+         "the value axis, from -1e+308 to 1e+308, is too wide to plot")],
+        ids=["inf_value", "overflowing_span"])
+    def test_non_finite_svg_is_a_config_error(self, argv, message, tmp_path, capsys):
+        code = main(argv + ["--format", "svg", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"spingate: cannot write svg: {message}\n"
+        assert captured.out == ""
+        out = tmp_path / "curve.svg"
+        assert main(argv + ["--format", "svg", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
 

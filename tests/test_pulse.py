@@ -90,6 +90,10 @@ class TestPulseEtas:
         with pytest.raises(ValueError):
             PulseSpec(delta=0.1, span=0.0)
 
+    def test_spec_center_must_be_finite(self):
+        with pytest.raises(ValueError, match="center must be finite"):
+            PulseSpec(delta=0.1, center=math.inf)
+
 
 class TestFidelityInvariance:
     def test_projected_state_is_the_same_ray_at_every_frequency(self):

@@ -277,6 +277,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateVector(17, np.zeros(2 ** 17, complex))
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda s: StateVector(2, np.zeros(3, complex)), ValueError, r"length must be 2\*\*n"),
+        (lambda s: StateVector.basis(2, 4), ValueError, "basis index out of range"),
+        (lambda s: split(s, [0, 0]), ValueError, "qubits must be distinct"),
+        (lambda s: project_parity(s, 0, 1, "even"), TypeError, "outcome must be a Parity"),
+        (lambda s: tensor(StateVector.basis(10, 0), StateVector.basis(7, 0)), ValueError,
+         "would exceed 16 qubits"),
+        (lambda s: permute(s, [0, 0]), ValueError, "order must be a permutation"),
+        (lambda s: split(s, []), ValueError, "proper non-empty subset"),
+        (lambda s: split(s, [0, 1]), ValueError, "proper non-empty subset")],
+        ids=["amps_length", "basis_index", "split_repeat", "parity_type", "tensor_cap",
+             "permute_repeat", "split_empty", "split_whole"])
+    def test_bad_arguments_are_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(tensor(StateVector.plus(), StateVector.plus()))
+
 
 GATE_MATRICES = {"H": np.array([[1, 1], [1, -1]]) * SQRT_HALF,
                  "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
@@ -382,6 +398,29 @@ class TestSplitShortcut:
             sub, rest = split(state, [0, 1, 2])
             assert fidelity(sub, StateVector(3, a0)) == pytest.approx(1.0, abs=1e-10)
             assert fidelity(rest, StateVector(4, b0)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_svd_accepts_a_cut_the_shortcut_misses(self, monkeypatch):
+        # 1 - sigma_1**2 = 0.9e-10 is within tolerance, but the largest
+        # column is not quite the leading singular vector, so the shortcut's
+        # norm misses it and the SVD decides
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(57)
+        fallbacks = 0
+        for _ in range(10):
+            state, _, _ = schmidt_pair_state(rng, 0.9e-10, k=2, m=2)
+            calls.clear()
+            sub, rest = split(state, [0, 1])
+            assert len(calls) <= 1
+            fallbacks += len(calls)
+            assert fidelity(tensor(sub, rest), state) >= 1 - 1e-9
+        assert fallbacks > 0
 
     def test_product_cuts_take_the_shortcut_and_rebuild_the_input(self, monkeypatch):
         forbid_svd(monkeypatch)

@@ -1,9 +1,13 @@
-"""The README's Quick start block runs as written and prints what it says."""
+"""The README's Quick start block runs as written and prints what it says,
+and its lists of config keys, axes and output columns are the code's."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from spingate import cli
+from spingate.sweep import OUTPUT_COLUMNS, SweepAxis
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +37,21 @@ def test_chain_loop_stays_small_for_every_seed():
     for seed in range(200):
         lines = run(source.replace("default_rng(2)", f"default_rng({seed})"))
         assert lines[-1] == "1.0", seed
+
+
+def backticked_names(text: str) -> list[str]:
+    return re.findall(r"`([A-Za-z_]+)`", text)
+
+
+def test_key_lists_match_the_code():
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    value_types = text.split("Value types:", 1)[1].strip().split("\n\n", 1)[0]
+    assert set(backticked_names(value_types)) - {"true", "false"} == cli._CONFIG_KEYS
+    axes = text.split("Axes:", 1)[1].split("\n", 1)[0]
+    assert backticked_names(axes) == [axis.value for axis in SweepAxis]
+    columns = text.split("Output columns", 1)[1].split(".", 1)[0]
+    assert backticked_names(columns) == list(OUTPUT_COLUMNS)
+    # every config key but the one the README names has a flag
+    assert "Only `pulse_center` has no flag" in text
+    destinations = {action.dest for action in cli.build_parser()._actions}
+    assert destinations - {"help", "config"} == cli._CONFIG_KEYS - {"pulse_center"}

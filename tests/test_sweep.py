@@ -312,6 +312,26 @@ class TestTableFormats:
         assert len(coords) > 2
         assert all(math.isfinite(c) for c in coords)
 
+    @pytest.mark.parametrize("text, message", [("", "empty CSV"),
+                                               ("axis,value\nkappa_ratio\n", "ragged CSV row")],
+                             ids=["empty", "ragged"])
+    def test_parse_csv_refuses_a_malformed_table(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_csv(text)
+
+    def test_svg_needs_a_sweep_axis(self):
+        table = Table(columns=("eta_S",), rows=({"eta_S": 0.5},))
+        with pytest.raises(ValueError, match="table has no sweep axis to plot"):
+            emit_svg(table)
+
+    def test_svg_refuses_an_efficiency_span_a_float_cannot_hold(self):
+        rows = tuple({"axis": "kappa_ratio", "value": v, "eta_S": y, "flag": ""}
+                     for v, y in ((1.0, -1e308), (2.0, 1e308)))
+        table = Table(columns=("axis", "value", "eta_S", "flag"), rows=rows)
+        with pytest.raises(ValueError, match="the efficiency axis, from -1e\\+308 to "
+                                             "1e\\+308, is too wide to plot"):
+            emit_svg(table)
+
     def test_emit_writes_files(self, table, tmp_path):
         out = tmp_path / "sweep.csv"
         text = emit(table, "csv", str(out))
