@@ -242,9 +242,8 @@ def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def _sq_norm(x: np.ndarray) -> float:
-    """Squared norm of a (possibly strided) view: ``_vdot(x, x)`` on it
-    flattened once, so a strided view is copied once, not per operand."""
-    x = x.reshape(-1)
+    """Squared norm of a (possibly strided) view: ``_vdot(x, x)``, one vdot
+    per chunk, no abs()**2 temporaries."""
     return float(_vdot(x, x).real)
 
 

@@ -387,13 +387,14 @@ def emit_svg(table: Table) -> str:
     ys = [row[c] for c in series for row in table.rows if row[c] is not None]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys)
+    # A lone point spans 1.0, or one ulp where 1.0 is below its precision.
+    if x_hi == x_lo:
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
+    if y_hi == y_lo:
+        y_hi = y_lo + max(1.0, math.ulp(y_lo))
     for name, lo, hi in (("value", x_lo, x_hi), ("efficiency", y_lo, y_hi)):
         if not math.isfinite(hi - lo):
             raise ValueError(f"the {name} axis, from {lo} to {hi}, is too wide to plot")
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
     width, height = _SVG_SIZE
     m = _SVG_MARGIN
     plot_w = width - m["left"] - m["right"]

@@ -1,7 +1,9 @@
 """Command-line driver: flags, config file, exit codes, output routing."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -491,6 +493,18 @@ class TestNonFiniteValues:
         out = tmp_path / "curve.svg"
         assert main(argv + ["--format", "svg", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1e17", "-1e17"])
+    def test_svg_of_one_point_past_unit_precision_plots(self, grid, capsys):
+        # 1e17 + 1.0 == 1e17, so the lone point's axis is widened by one ulp
+        code = main(["--axis", "detuning", "--grid", grid, "--c", "1",
+                     "--format", "svg", "--out", "-"])
+        assert code == EXIT_OK
+        svg = capsys.readouterr().out
+        points = re.findall(r'points="([^"]*)"', svg)
+        coords = [float(c) for p in points for xy in p.split() for c in xy.split(",")]
+        assert len(coords) >= 2 and all(math.isfinite(c) for c in coords)
+        assert "nan" not in svg and "inf" not in svg
 
 
 def test_cli_import_starts_no_process_machinery():

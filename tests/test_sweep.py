@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -330,6 +331,14 @@ class TestTableFormats:
         table = Table(columns=("axis", "value", "eta_S", "flag"), rows=rows)
         with pytest.raises(ValueError, match="the efficiency axis, from -1e\\+308 to "
                                              "1e\\+308, is too wide to plot"):
+            emit_svg(table)
+
+    def test_svg_refuses_a_lone_point_whose_ulp_overflows(self):
+        top = sys.float_info.max
+        table = Table(columns=("axis", "value", "eta_S", "flag"),
+                      rows=({"axis": "detuning", "value": top, "eta_S": 0.5, "flag": ""},))
+        with pytest.raises(ValueError, match="the value axis, from 1.7976931348623157e\\+308 "
+                                             "to inf, is too wide to plot"):
             emit_svg(table)
 
     def test_emit_writes_files(self, table, tmp_path):
