@@ -10,7 +10,9 @@ a config file alone sets it.  Exit codes: 0 success, 2 invalid
 configuration, 3 output I/O error.
 
 The argument parser is built once per process, on the first ``main``
-call, and reused: parsing leaves no state in it.
+call, and reused: parsing leaves no state in it.  So is the set of flag
+tokens that take a value, which lets any such value that starts with "-"
+follow its flag as its own word (``--detuning -2e-3``).
 """
 
 from __future__ import annotations
@@ -148,33 +150,45 @@ def _assemble(flags: dict):
     return spec, fmt, out
 
 
-_GRID_FLAGS = frozenset(("--gr", "--gri", "--grid"))  # "--g" is ambiguous with "--gamma"
+@functools.cache
+def _value_flags() -> frozenset:
+    """The tokens argparse reads as a flag that takes one value: each long
+    option string of such a flag, and each prefix of one that no other
+    long option shares (an abbreviation argparse resolves to it)."""
+    options = [(option, action.nargs is None) for action in _parser()._actions
+               for option in action.option_strings if option.startswith("--")]
+    flags = set()
+    for option, takes_value in options:
+        if takes_value:
+            flags.add(option)
+            flags.update(option[:k] for k in range(3, len(option))
+                         if sum(o.startswith(option[:k]) for o, _ in options) == 1)
+    return frozenset(flags)
 
 
 def _join_grid(argv: list) -> list:
-    """``argv`` with each ``--grid`` token, or an abbreviation argparse
-    resolves to it, and a following value that starts with a single "-"
-    joined into one ``FLAG=VALUE`` token.  Otherwise argparse reads such a
-    value as an option unless it is a plain negative number, so
-    ``--grid -2:2:1`` would fail where ``--grid=-2:2:1`` works.  Tokens
-    after "--" are never options and stay as they are."""
+    """``argv`` with each flag that takes a value, or an abbreviation
+    argparse resolves to one, and a following value that starts with a
+    single "-" joined into one ``FLAG=VALUE`` token.  Otherwise argparse
+    reads such a value as an option unless it is a plain negative decimal,
+    so ``--grid -2:2:1`` or ``--detuning -2e-3`` would fail where
+    ``--grid=-2:2:1`` works.  A lone "-" (``--out -``) is read as a value
+    and stays as it is, and so do the tokens after "--", which are never
+    options."""
+    flags = _value_flags()
     for i, flag in enumerate(argv[:-1]):
         if flag == "--":
             break
         value = argv[i + 1]
-        if flag in _GRID_FLAGS and value.startswith("-") and not value.startswith("--"):
+        if flag in flags and value.startswith("-") and value[1:2] not in ("", "-"):
             return argv[:i] + [f"{flag}={value}"] + _join_grid(argv[i + 2:])
     return argv
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(_join_grid(sys.argv[1:] if argv is None else list(argv)))
-    try:
+    try:  # a ConfigError, a SweepBaseline or SweepSpec check, or a check on a row
         spec, fmt, out = _assemble(vars(args))
-    except ValueError as exc:  # a ConfigError, or a SweepBaseline or SweepSpec check
-        print(f"spingate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         table = run_sweep(spec)
     except (ValueError, ArithmeticError) as exc:
         print(f"spingate: {exc}", file=sys.stderr)

@@ -358,10 +358,13 @@ def _pairwise_plan(target: int) -> list[tuple[int, int]]:
 def _plan(target: int, strategy: GrowthStrategy) -> list[tuple[int, int]]:
     """The (left, right) chain lengths of every connection a build of
     ``target`` spins makes, in order.  A SEQUENTIAL grow is a connection
-    with a fresh single spin."""
+    with a fresh single spin.  Each strategy has its own branch, and any
+    other value raises TypeError."""
     if strategy is GrowthStrategy.SEQUENTIAL:
         return [(k, 1) for k in range(1, target)]
-    return _pairwise_plan(target)
+    if strategy is GrowthStrategy.PAIRWISE:
+        return _pairwise_plan(target)
+    raise TypeError(f"unknown strategy {strategy!r}")
 
 
 @functools.lru_cache(maxsize=2 * MAX_FACTORY_TARGET)
@@ -431,8 +434,6 @@ def simulate_factory(target_length: int, config: GateConfig,
     if target_length > MAX_FACTORY_TARGET:
         raise ValueError(f"target length must be in [1, {MAX_FACTORY_TARGET}]")
     check_count("trials", trials, 1)
-    if not isinstance(strategy, GrowthStrategy):
-        raise TypeError(f"unknown strategy {strategy!r}")
     p = min(run_moments(config)[0], 1.0)  # p_unit may pass 1 by rounding
     per_trial = expected_gate_ops(target_length, p, strategy) if p > 0.0 else math.inf
     table = _walk_table(target_length, strategy)
@@ -462,10 +463,11 @@ def simulate_factory(target_length: int, config: GateConfig,
                 if len(ends) == trials:
                     break
                 begun, state = position, start
-    photons = np.concatenate([np.zeros(1, dtype=np.int64), *batches]).cumsum()
-    totals = np.zeros((2, trials + 1), dtype=np.int64)  # photons, gate ops read so far
-    totals[:, 1:] = photons[ends], ends
-    return FactoryStats(strategy, target_length, *(totals[:, 1:] - totals[:, :-1]))
+    gate_ops = np.array(ends, dtype=np.int64)  # runs read by each trial's end
+    photons = np.concatenate([np.zeros(1, dtype=np.int64), *batches]).cumsum()[gate_ops]
+    gate_ops[1:] -= gate_ops[:-1]  # each trial's own counts; numpy buffers the overlap
+    photons[1:] -= photons[:-1]
+    return FactoryStats(strategy, target_length, photons, gate_ops)
 
 
 def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
@@ -483,8 +485,6 @@ def expected_gate_ops(target: int, p: float, strategy: GrowthStrategy) -> float:
     """
     if target < 1 or not 0.0 < p <= 1.0:
         raise ValueError("need target >= 1 and p in (0, 1]")
-    if not isinstance(strategy, GrowthStrategy):
-        raise TypeError(f"unknown strategy {strategy!r}")
     h = [0.0]
     for _ in range(1, target):
         h.append((1.0 + (1.0 - p) * h[-1]) / p)

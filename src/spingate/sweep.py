@@ -214,6 +214,7 @@ _CONFIG_FIELDS = _CAVITY_FIELDS | {"eta_in", "detector_efficiency", "max_recycle
 _PULSE_FIELDS = frozenset(("bandwidth", "pulse_center"))
 _ANALYTIC = ("eta_H", "eta_V", "eta_S")
 _MONTE_CARLO = ("mc_eta_S", "mc_stderr", "mean_attempts")
+_EFFICIENCY = frozenset((*_ANALYTIC, "mc_eta_S", "pulse_eta_S"))  # the columns an SVG plots
 
 
 class _Cavity:
@@ -370,13 +371,12 @@ _SVG_PALETTE = ("#1b6ca8", "#d1495b", "#3a7d44", "#8e5572", "#c07d1a", "#4a4e69"
 
 
 def _svg_series(table: Table) -> list[str]:
-    skip = {"axis", "value", "flag", "mc_stderr"}
     return [c for c in table.columns
-            if c not in skip and any(row[c] is not None for row in table.rows)]
+            if c in _EFFICIENCY and any(row[c] is not None for row in table.rows)]
 
 
 def emit_svg(table: Table) -> str:
-    """Minimal line chart: one polyline per output column, labeled axes."""
+    """Minimal line chart: one polyline per efficiency column, labeled axes."""
     if "value" not in table.columns:
         raise ValueError("table has no sweep axis to plot")
     series = _svg_series(table)

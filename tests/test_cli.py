@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spingate
-from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _join_grid, main
+from spingate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _join_grid, build_parser, main
 from spingate.sweep import (SweepAxis, SweepBaseline, SweepSpec, Table, emit_csv,
                             run_sweep)
 
@@ -92,6 +92,23 @@ class TestSweepRuns:
     def test_svg_of_stderr_alone_has_nothing_to_plot(self, capsys):
         code = main(["--axis", "cooperativity", "--grid", "0.5,1", "--trials", "50",
                      "--outputs", "mc_stderr", "--format", "svg", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "spingate: cannot write svg: no plottable columns in table\n"
+        assert captured.out == ""
+
+    SVG_ATTEMPTS = ["--axis", "detuning", "--grid", "0,2,4", "--c", "1", "--trials", "200",
+                    "--format", "svg", "--out", "-"]
+
+    def test_svg_leaves_mean_attempts_off_the_efficiency_axis(self, capsys):
+        assert main(self.SVG_ATTEMPTS + ["--outputs", "eta_S,mean_attempts"]) == EXIT_OK
+        beside = capsys.readouterr().out
+        assert main(self.SVG_ATTEMPTS + ["--outputs", "eta_S"]) == EXIT_OK
+        assert beside == capsys.readouterr().out
+        assert "mean_attempts" not in beside
+
+    def test_svg_of_mean_attempts_alone_has_nothing_to_plot(self, capsys):
+        code = main(self.SVG_ATTEMPTS + ["--outputs", "mean_attempts"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == "spingate: cannot write svg: no plottable columns in table\n"
@@ -222,6 +239,40 @@ class TestNegativeGrid:
         tail = ["--", "--grid", "-2:2:1", "--gr", "-1"]
         assert _join_grid(["--axis", "detuning"] + tail) == ["--axis", "detuning"] + tail
         assert _join_grid(["--gr", "-1"] + tail) == ["--gr=-1"] + tail
+
+
+FLOAT_FLAGS = [action.option_strings[0] for action in build_parser()._actions
+               if action.type is float]
+
+
+class TestNegativeValues:
+    """Any flag's value that starts with "-" may follow it as its own token,
+    not only a plain negative decimal, which argparse takes for a number."""
+
+    @pytest.mark.parametrize("value", ["-2e-3", "-1E+2", "-inf"])
+    @pytest.mark.parametrize("flag", FLOAT_FLAGS)
+    def test_space_separated_value_matches_the_joined_form(self, capsys, flag, value):
+        axis = "detuning" if flag == "--kappa-ratio" else "kappa_ratio"
+        flags = ["--axis", axis, "--grid", "13", "--out", "-"]
+        spaced = TestNegativeGrid.run(flags + [flag, value], capsys)
+        assert spaced == TestNegativeGrid.run(flags + [f"{flag}={value}"], capsys)
+        assert "expected one argument" not in spaced[2]
+
+    def test_a_negative_exponent_detuning_prints_its_row(self, capsys):
+        code = main(["--axis", "kappa_ratio", "--grid", "13", "--c", "1",
+                     "--detuning", "-2e-3", "--out", "-"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("axis,value,")
+
+    @pytest.mark.parametrize("flag", ["--detu", "--trion-off"])
+    def test_an_abbreviation_is_joined(self, flag):
+        assert _join_grid([flag, "-1e-2"]) == [f"{flag}=-1e-2"]
+
+    @pytest.mark.parametrize("argv", [["--help", "-2"], ["--det", "-2e-3"], ["--g", "-2:2:1"],
+                                      ["--out", "-"]],
+                             ids=["no_value", "ambiguous", "shared_with_gamma", "lone_dash"])
+    def test_a_flag_without_one_value_or_a_lone_dash_is_not_joined(self, argv):
+        assert _join_grid(argv) == argv
 
 
 class TestIntegerFields:

@@ -606,6 +606,20 @@ class TestPairwisePlan:
             simulate_factory(4, IDEAL, "pairwise_doubling", rng, trials=2)
         assert rng.bit_generator.state == before
 
+    def test_plan_refuses_a_strategy_it_has_no_branch_for(self):
+        with pytest.raises(TypeError, match="unknown strategy 'pairwise_doubling'"):
+            _plan(4, "pairwise_doubling")
+
+    def test_strategy_is_checked_before_any_draw_when_no_run_succeeds(self):
+        # p = 0 sets no expected count, so the walk table is the first to read the plan
+        config = GateConfig(pair=ReflectionPair.from_coefficients(0.5, 0.5))
+        assert run_moments(config)[0] == 0.0
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="unknown strategy 'pairwise_doubling'"):
+            simulate_factory(4, config, "pairwise_doubling", rng, trials=2)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("strategy", list(GrowthStrategy))
     def test_out_of_domain_gate_raises_at_every_target(self, strategy):
         # eta_in < 1 on a strongly reflective pair: the branches sum past one

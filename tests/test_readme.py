@@ -1,9 +1,11 @@
 """The README's Quick start block runs as written and prints what it says,
-and its lists of config keys, axes and output columns are the code's."""
+its command lines run and write output, and its lists of config keys,
+axes and output columns are the code's."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 from spingate import cli
@@ -55,3 +57,23 @@ def test_key_lists_match_the_code():
     assert "Only `pulse_center` has no flag" in text
     destinations = {action.dest for action in cli.build_parser()._actions}
     assert destinations - {"help", "config"} == cli._CONFIG_KEYS - {"pulse_center"}
+
+
+def command_line_block(lang: str) -> str:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each `spingate` line, continuations joined, with the JSON block as sweep.json
+    (tmp_path / "sweep.json").write_text(command_line_block("json"))
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line)
+             for line in command_line_block("sh").replace("\\\n", " ").splitlines()]
+    assert len(lines) == 4
+    for words in lines:
+        assert words[0] == "spingate"
+        assert cli.main(words[1:]) == 0, words
+        out = words[words.index("--out") + 1]
+        printed = capsys.readouterr().out
+        assert (printed if out == "-" else (tmp_path / out).read_text()), words
