@@ -32,10 +32,11 @@ A failure leaves every spin it takes out of the chain in a product state
 with the rest: a measured spin is a Z eigenstate, and a fresh spin that no
 parity projection touched has seen only dephasing Z flips, so it is
 (up - down) or (up + down) over sqrt(2).  Both failure paths therefore
-take those spins out at once, by slicing (``_drop``, through
-``qstate._factor_out``), and renumber the remaining qubits in order; a
-failed grow measures its end spin straight out of the register
-(``qstate._measure_out``).  ``split`` is left the one cut that slicing
+take those spins out by slicing, one qubit at a time, and renumber the
+remaining qubits in order: a failed grow measures its end spin straight
+out of the register (``qstate._measure_out``), and ``_drop`` slices out
+the fresh spin, or a failed connection's measured boundary spin, through
+``qstate._factor_out``.  ``split`` is left the one cut that slicing
 cannot make, between the two chains of a failed connection, and any
 spin whose branches do not show a product.  A chain grown from
 ``new_chain`` thus lives in a register of its own length, plus the fresh
@@ -199,29 +200,20 @@ def _measure_end(state: StateVector, end: tuple[int, ...], rng,
     return state
 
 
-def _drop(state: StateVector, labels: tuple[int, ...],
-          dead: tuple[int, ...]) -> ChainState:
-    """The chain ``labels`` over ``state`` with the product qubits ``dead``
-    taken out and the rest renumbered; when ``dead`` is the whole
-    register, its first qubit stays.
+def _drop(state: StateVector, labels: tuple[int, ...], dead: int) -> ChainState:
+    """The chain ``labels`` over ``state`` with the product qubit ``dead``
+    taken out and the qubits after it renumbered; a 1-qubit register stays
+    as it is.
 
-    Each dead qubit in turn is sliced out by ``qstate._factor_out`` when
-    its branches show it is a product (a measured spin, a fresh spin no
-    projection touched); the first that does not, and all after it, go to
-    ``split``, which certifies the cut or raises ``EntangledCutError``.
+    ``qstate._factor_out`` slices the qubit out when its branches show it
+    is a product (a measured spin, a fresh spin no projection touched);
+    otherwise ``split`` certifies the cut or raises ``EntangledCutError``.
     """
-    if len(dead) == state.n:
-        dead = dead[1:]
-    kept = [q for q in range(state.n) if q not in dead]
-    held = list(range(state.n))  # the qubits ``state`` still holds
-    for i, q in enumerate(dead):
-        rest = _factor_out(state, held.index(q))
-        if rest is None:
-            _, state = split(state, [held.index(d) for d in dead[i:]])
-            break
-        state = rest
-        held.remove(q)
-    return ChainState(state, tuple(kept.index(q) for q in labels))
+    if state.n > 1:
+        rest = _factor_out(state, dead)
+        state = split(state, (dead,))[1] if rest is None else rest
+        labels = tuple(q - (q > dead) for q in labels)
+    return ChainState(state, labels)
 
 
 def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
@@ -250,12 +242,11 @@ def grow_chain(chain: ChainState, fresh: int, config: GateConfig,
     if result.outcome is not GateOutcome.FAILURE:
         return GrowResult(ChainState(_feedback(result, fresh), chain.labels + (fresh,)),
                           result)
-    if result.state.n == 2:  # nothing else stays, so the measured spin does
-        state = _measure_end(result.state, chain.labels[::-1], rng, force_measure)
-        return GrowResult(_drop(state, chain.labels[:-1], (last, fresh)), result)
-    state = _measure_end(result.state, chain.labels[::-1], rng, force_measure, remove=True)
-    labels = tuple(q - (q > last) for q in chain.labels[:-1])
-    return GrowResult(_drop(state, labels, (fresh - (fresh > last),)), result)
+    remove = result.state.n > 2  # else the measured spin is all that would stay
+    state = _measure_end(result.state, chain.labels[::-1], rng, force_measure, remove=remove)
+    # a removed spin moves the qubits after it down by one
+    *labels, fresh = (q - (remove and q > last) for q in chain.labels[:-1] + (fresh,))
+    return GrowResult(_drop(state, tuple(labels), fresh), result)
 
 
 def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
@@ -291,8 +282,8 @@ def connect_chains(m_chain: ChainState, n_chain: ChainState, config: GateConfig,
     state = _measure_end(result.state, m_labels[::-1], rng, forced_m)
     state = _measure_end(state, n_labels, rng, forced_n)
     m_register, n_register = split(state, tuple(range(offset)))
-    part_m = _drop(m_register, m_labels[:-1], (m_last,))
-    part_n = _drop(n_register, n_chain.labels[1:], (n_chain.labels[0],))
+    part_m = _drop(m_register, m_labels[:-1], m_last)
+    part_n = _drop(n_register, n_chain.labels[1:], n_chain.labels[0])
     return ConnectResult(None, (part_m, part_n), result)
 
 

@@ -253,14 +253,9 @@ def single_shot_distribution(config: GateConfig, state: StateVector,
 def _checked_weights(state: StateVector, q1: int, q2: int) -> tuple[float, float]:
     """The (even, odd) parity weights the success clicks split by, once
     the state is checked to be normalized."""
-    try:
-        w_even, w_odd = parity_weights(state, q1, q2)
-        norm = math.sqrt(w_even + w_odd)  # the parity weights add up to ||psi||^2
-    except IndexError:
-        norm = state.norm()  # an unnormalized state is reported before a bad qubit
-        if abs(norm - 1.0) <= 1e-9:
-            raise
-    if abs(norm - 1.0) > 1e-9:
+    w_even, w_odd = parity_weights(state, q1, q2)
+    # the parity weights add up to ||psi||^2
+    if abs(math.sqrt(w_even + w_odd) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
     return w_even, w_odd
 

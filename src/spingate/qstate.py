@@ -35,8 +35,9 @@ writes one new array.  The layouts:
 - ``permute``, ``split`` and ``subsystem_fidelity`` use the
   ``(2**k, 2**(n-k))`` matrix whose rows run over the named qubits (a
   transpose copy when the order needs one).  ``subsystem_fidelity`` over
-  the whole register in order skips the matrix: one dot gives the same
-  bits.
+  the whole register in order skips the matrix: one dot, summed in
+  chunks like every other reduction here, gives the matrix form's bits
+  up to ``_CHUNK`` amplitudes.
 
 Two functions factor a register.  The private ``_factor_out``
 slices out one qubit whose branches show, by exact comparison, that it is
@@ -456,15 +457,15 @@ def subsystem_fidelity(state: StateVector, qubits, target: StateVector) -> float
     Equals the plain fidelity when the subsystem is in a pure product with
     the rest of the register.  When `qubits` is the whole register in
     order (every ``chain_fidelity`` call on a register that holds only its
-    chain) it is one ``np.vdot``, with the bits of the plain matrix form
-    ``target.amps.conj() @ mat``; so unlike the other reductions here it is
-    not summed in chunks, and above 10,000 amplitudes its bits follow the
-    BLAS thread count.
+    chain) it is one dot, ``_vdot``: up to ``_CHUNK`` amplitudes it has the
+    bits of the plain matrix form ``target.amps.conj() @ mat``, and above
+    that it is summed in order over chunks, so its bits do not depend on
+    the BLAS thread count.
     """
     qubits = list(qubits)
     whole = qubits == list(range(state.n))
     mat = None if whole else _as_matrix(state, qubits)
     if target.n != len(qubits):
         raise ValueError("target size must match the subsystem")
-    v = np.vdot(target.amps, state.amps) if whole else _conj_matmul(target.amps, mat)
+    v = _vdot(target.amps, state.amps) if whole else _conj_matmul(target.amps, mat)
     return min(1.0, _sq_norm(v))

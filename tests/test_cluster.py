@@ -3,8 +3,9 @@
 Two independent oracles are used: ``canonical_cluster`` checks every
 linear-cluster postcondition, and an explicit graph-state expansion pins
 down the star-junction states that interior connections produce.  The
-factory statistics are checked against a small Markov-chain expectation
-computed from the exact per-operation success probability.
+factory statistics are checked against the benchmark's Markov-chain
+expectations (``perfbench/oracles.py``, read through ``laws``), computed
+from the cavity's reflection pair without the library.
 """
 
 import itertools
@@ -12,18 +13,19 @@ import math
 
 import numpy as np
 import pytest
+from laws import gate_op_moments, pairwise_expected_ops, sequential_expected_ops
 
 import spingate.cluster
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.cluster import (MAX_FACTORY_TARGET, ChainState, ConnectResult, GrowResult,
-                              GrowthStrategy, _drop, _pairwise_plan, _plan, _walk_table,
-                              add_fresh, canonical_cluster, chain_fidelity, connect_chains,
+                              GrowthStrategy, _pairwise_plan, _plan, _walk_table, add_fresh,
+                              canonical_cluster, chain_fidelity, connect_chains,
                               expected_gate_ops, grow_chain, new_chain, simulate_factory)
-from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome,
-                           analytic_etas, run_gate, run_moments, sample_runs)
-from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, _apply_xh, apply_1q,
-                             collapse_z, fidelity, measure_z, split, subsystem_fidelity,
-                             tensor)
+from spingate.gate import (GateConfig, GateOutcome, ModelDomainError, RunOutcome, run_gate,
+                           run_moments, sample_runs)
+from spingate.qstate import (EntangledCutError, SpinOutcome, StateVector, _apply_xh,
+                             _factor_out, apply_1q, collapse_z, fidelity, measure_z, split,
+                             subsystem_fidelity, tensor)
 
 IDEAL = GateConfig(pair=ReflectionPair.ideal())
 EVEN, ODD, FAILURE = GateOutcome.EVEN, GateOutcome.ODD, GateOutcome.FAILURE
@@ -285,50 +287,6 @@ class TestConnect:
             connect_chains(new_chain(), empty, IDEAL, force=EVEN)
 
 
-def gate_op_moments(pair, max_recycles):
-    """Exact per-operation success probability and expected photon count."""
-    etas = analytic_etas(pair)
-    s, v = etas.eta_h, etas.eta_v
-    loss = 1.0 - s - v
-    k = np.arange(max_recycles + 1)
-    weights = v ** k
-    p_success = float(s * weights.sum())
-    expected_attempts = float(((s + loss) * weights * (k + 1)).sum()
-                              + v ** (max_recycles + 1) * (max_recycles + 1))
-    return p_success, expected_attempts
-
-
-def sequential_expected_ops(target, p):
-    """Markov-chain expectation: ops to walk from length 1 up to target.
-
-    h_j is the expected number of gate operations to go from length j to
-    j+1 when failure steps down one (re-preparing at zero).
-    """
-    h = 1.0 / p
-    total = h
-    for _ in range(2, target):
-        h = (1.0 + (1.0 - p) * h) / p
-        total += h
-    return total if target > 1 else 0.0
-
-
-def pairwise_expected_ops(target, p):
-    """Same recursion as the pairwise strategy: build halves, connect,
-    repair damaged halves by sequential growth on failure."""
-    if target == 1:
-        return 0.0
-    left = (target + 1) // 2
-    right = target // 2
-
-    def repair_cost(length):
-        if length == 1:
-            return 0.0
-        return sequential_expected_ops(length, p) - sequential_expected_ops(length - 1, p)
-
-    connect_cost = (1.0 + (1.0 - p) * (repair_cost(left) + repair_cost(right))) / p
-    return pairwise_expected_ops(left, p) + pairwise_expected_ops(right, p) + connect_cost
-
-
 class TestFactory:
     def test_ideal_sequential_build_is_deterministic(self):
         stats = simulate_factory(5, IDEAL, GrowthStrategy.SEQUENTIAL,
@@ -340,7 +298,7 @@ class TestFactory:
         pair = reflection_pair(
             CavityParams.from_cooperativity(1.0, kappa_ratio=13.0, gamma=0.1))
         config = GateConfig(pair=pair)
-        p_op, attempts_per_op = gate_op_moments(pair, config.max_recycles)
+        p_op, attempts_per_op = gate_op_moments(pair.r0, pair.r1, config.max_recycles)
         expected_ops = sequential_expected_ops(4, p_op)
         expected_photons = expected_ops * attempts_per_op
         stats = simulate_factory(4, config, GrowthStrategy.SEQUENTIAL,
@@ -354,7 +312,7 @@ class TestFactory:
         half = math.sqrt(0.5)
         pair = ReflectionPair.from_coefficients(-half, half)  # eta_S = 1/2 exactly
         config = GateConfig(pair=pair)
-        p_op, _ = gate_op_moments(pair, config.max_recycles)
+        p_op, _ = gate_op_moments(pair.r0, pair.r1, config.max_recycles)
         assert p_op == pytest.approx(0.5, abs=1e-12)
         oracle_seq = sequential_expected_ops(8, p_op)
         oracle_pair = pairwise_expected_ops(8, p_op)
@@ -408,7 +366,7 @@ class TestFactory:
 
 
 class TestExactExpectations:
-    """The library's exact resource model against the oracles above."""
+    """The library's exact resource model against the benchmark's oracles."""
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
     def test_expected_gate_ops_match_the_oracles(self, p):
@@ -428,7 +386,8 @@ class TestExactExpectations:
         for pair in pairs:
             for cap in (0, 1, 50, 200):
                 moments = run_moments(GateConfig(pair=pair, max_recycles=cap))
-                assert moments == pytest.approx(gate_op_moments(pair, cap), rel=1e-12)
+                assert moments == pytest.approx(gate_op_moments(pair.r0, pair.r1, cap),
+                                                rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -875,7 +834,12 @@ def transcript_grow_chain(chain, fresh, config, rng=None, *, force=None, force_m
     labels = chain.labels[:-1]
     if outcome is SpinOutcome.DOWN and labels:
         state = apply_1q(state, labels[-1], "Z")
-    return GrowResult(_drop(state, labels, (last, fresh)), result)
+    if state.n > 2:  # the measured spin leaves, unless it would be all that stays
+        state = _factor_out(state, last)
+        labels = tuple(q - (q > last) for q in labels)
+        fresh -= fresh > last
+    state = _factor_out(state, fresh)
+    return GrowResult(ChainState(state, tuple(q - (q > fresh) for q in labels)), result)
 
 
 def transcript_connect_chains(m_chain, n_chain, config, rng=None, *, force=None,
@@ -905,9 +869,16 @@ def transcript_connect_chains(m_chain, n_chain, config, rng=None, *, force=None,
     if out_n is SpinOutcome.DOWN and len(n_labels) >= 2:
         state = apply_1q(state, n_labels[1], "Z")
     m_register, n_register = split(state, tuple(range(offset)))
-    part_m = _drop(m_register, m_labels[:-1], (m_last,))
-    part_n = _drop(n_register, n_chain.labels[1:], (n_chain.labels[0],))
-    return ConnectResult(None, (part_m, part_n), result)
+    m_kept, n_kept, n_dead = m_labels[:-1], n_chain.labels[1:], n_chain.labels[0]
+    # each part loses its measured boundary spin, unless that is all it holds
+    if m_register.n > 1:
+        m_register = _factor_out(m_register, m_last)
+        m_kept = tuple(q - (q > m_last) for q in m_kept)
+    if n_register.n > 1:
+        n_register = _factor_out(n_register, n_dead)
+        n_kept = tuple(q - (q > n_dead) for q in n_kept)
+    parts = ChainState(m_register, m_kept), ChainState(n_register, n_kept)
+    return ConnectResult(None, parts, result)
 
 
 def transcript_expected_gate_ops(target, p, strategy):

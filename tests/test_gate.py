@@ -142,13 +142,6 @@ class TestSingleShotDistribution:
         with pytest.raises(ModelDomainError):
             single_shot_distribution(config, plus_plus(), 0, 1)
 
-    def test_rejects_unnormalized_state(self):
-        config = GateConfig(pair=ReflectionPair.ideal())
-        bad = StateVector(1, np.array([1.0, 1.0], complex))
-        with pytest.raises(ValueError):
-            single_shot_distribution(config, bad, 0, 1)
-
-
     def test_rejects_unnormalized_two_qubit_state(self):
         # valid qubits, so only the normalization check can refuse it
         config = GateConfig(pair=ReflectionPair.ideal())
@@ -160,6 +153,7 @@ class TestSingleShotDistribution:
         config = GateConfig(pair=ReflectionPair.ideal())
         with pytest.raises(IndexError):
             single_shot_distribution(config, plus_plus(), 0, 5)
+
 
 class TestRunGate:
     def test_ideal_gate_succeeds_first_try(self):

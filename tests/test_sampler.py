@@ -1,7 +1,9 @@
 """Whole gate runs drawn from the per-attempt law, without a register.
 
 Each statistical check compares a count over a large number of runs with
-its exact truncated law, within 5 standard deviations, at a fixed seed.
+its exact truncated law (``perfbench/oracles.py``, read through ``laws``),
+within 5 standard deviations, at a fixed seed; one more compares the
+success count with its exact two-sided tail.
 The sampler also reads the same uniforms as ``run_gate``, so it must agree
 with a loop of ``run_gate`` calls run for run.
 """
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from laws import assert_counts, attempts_pmf, capped_success, oracles
 
 from spingate.cavity import CavityParams, ReflectionPair, reflection_pair
 from spingate.gate import (_ONE_BLOCK, GateConfig, GateOutcome, ModelDomainError,
@@ -44,7 +47,7 @@ class TestSampleRunsLaw:
         etas = analytic_etas(pair)
         outcome, _ = sample_runs(GateConfig(pair=pair, max_recycles=cap), RUNS,
                                  np.random.default_rng(101))
-        capped = etas.eta_h * (1 - etas.eta_v ** (cap + 1)) / (1 - etas.eta_v)
+        capped = capped_success(etas.eta_h, etas.eta_v, cap)
         assert_count(np.count_nonzero(outcome == RunOutcome.SUCCESS), RUNS, capped)
 
     @pytest.mark.parametrize("pair, cap", CASES)
@@ -54,9 +57,9 @@ class TestSampleRunsLaw:
                                   np.random.default_rng(202))
         assert attempts.min() >= 1 and attempts.max() <= cap + 1
         histogram = np.bincount(attempts, minlength=cap + 2)
+        pmf = attempts_pmf(v, cap)
         for k in range(1, cap + 2):
-            p = v ** (k - 1) * (1 - v) if k <= cap else v ** cap
-            assert_count(histogram[k], RUNS, p)
+            assert_count(histogram[k], RUNS, pmf[k])
 
     @pytest.mark.parametrize("pair, cap", CASES)
     def test_cap_share_is_eta_v_to_the_cap(self, pair, cap):
@@ -79,6 +82,47 @@ class TestSampleRunsLaw:
         outcome, _ = sample_runs(config, RUNS, np.random.default_rng(404))
         assert_count(np.count_nonzero(outcome == RunOutcome.SUCCESS), RUNS, p_success)
         assert_count(np.count_nonzero(outcome == RunOutcome.CAP), RUNS, v ** 2)
+
+
+def successes(observed, p):
+    """The success count of RUNS runs that each succeed with probability p."""
+    return oracles.Count("successes", observed, lambda z: 1.0 - p + p * z, RUNS, p)
+
+
+# the chance that a correct sampler fails the one exact check below
+EXACT_LEVEL = 1e-6
+
+
+class TestSuccessCountExactTail:
+    """The detuned cavity's success count against its exact law, where the
+    recycle cap ends 38 % of the runs and the capped success probability
+    is 0.62 of the uncapped eta_S."""
+
+    @pytest.fixture(scope="class")
+    def etas(self):
+        pair = detuned_cavity()
+        return oracles.pair_etas(pair.r0, pair.r1)
+
+    @pytest.fixture(scope="class")
+    def observed(self):
+        outcome, _ = sample_runs(GateConfig(pair=detuned_cavity()), RUNS,
+                                 np.random.default_rng(505))
+        return np.count_nonzero(outcome == RunOutcome.SUCCESS)
+
+    def test_passes_against_the_capped_success(self, etas, observed):
+        assert_counts([successes(observed, capped_success(*etas, 50))], EXACT_LEVEL)
+
+    def test_fails_against_the_uncapped_eta_s(self, etas, observed):
+        eta_h, eta_v = etas
+        with pytest.raises(AssertionError, match="two-sided tail"):
+            assert_counts([successes(observed, eta_h / (1.0 - eta_v))], EXACT_LEVEL)
+
+    def test_fails_for_a_sampler_that_succeeds_with_p_unit(self, etas):
+        # the mutation: a whole run succeeds with one attempt's success
+        # probability, p_unit = eta_H here
+        mutant = np.count_nonzero(np.random.default_rng(505).random(RUNS) < etas[0])
+        with pytest.raises(AssertionError, match="two-sided tail"):
+            assert_counts([successes(mutant, capped_success(*etas, 50))], EXACT_LEVEL)
 
 
 class TestSampleRunsExact:
